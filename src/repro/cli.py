@@ -272,6 +272,15 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _remote_source(spec: str) -> "Circuit | str":
+    """A ``--remote`` circuit argument: a netlist file travels as
+    ``.bench`` text, anything else as a suite generator name."""
+    path = Path(spec)
+    if path.suffix in (".bench", ".pla") and path.exists():
+        return load_circuit(spec)
+    return spec
+
+
 def _classify_remote(args: argparse.Namespace) -> int:
     """``classify --remote``: send the request to a running daemon.
 
@@ -282,19 +291,13 @@ def _classify_remote(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
     from repro.service.client import RetryPolicy, ServiceClient
 
-    path = Path(args.circuit)
-    spec: "Circuit | str"
-    if path.suffix in (".bench", ".pla") and path.exists():
-        spec = load_circuit(args.circuit)
-    else:
-        spec = args.circuit
     events = []
     try:
         # bounded retry with jittered backoff: a fleet worker respawning
         # (or a daemon restart) is invisible to the CLI user
         with ServiceClient.connect(args.remote, retry=RetryPolicy()) as client:
             result = client.classify(
-                circuit=spec,
+                circuit=_remote_source(args.circuit),
                 criterion=args.criterion,
                 sort=args.sort,
                 max_accepted=args.max_accepted,
@@ -726,14 +729,8 @@ def _tightness_remote(args: argparse.Namespace) -> int:
     try:
         with ServiceClient.connect(args.remote, retry=RetryPolicy()) as client:
             for name in specs:
-                path = Path(name)
-                spec: "Circuit | str"
-                if path.suffix in (".bench", ".pla") and path.exists():
-                    spec = load_circuit(name)
-                else:
-                    spec = name
                 rows.append(client.tightness(
-                    circuit=spec,
+                    circuit=_remote_source(name),
                     criterion=args.criterion,
                     sort=args.sort,
                     max_accepted=args.max_accepted,

@@ -17,10 +17,11 @@ Fault tolerance, opt-in via a :class:`RetryPolicy`:
   clients from reconnecting in lockstep).
 * **request retry** — a request that dies at the transport level
   (connection reset, server gone mid-answer) reconnects and resends,
-  but **only for idempotent ops** (:data:`IDEMPOTENT_OPS` — every
-  current op is a pure read/compute; a future mutating op must not be
-  listed or a retry could double-apply it).  Structured errors from
-  the server are answers, never retried.
+  but **only for idempotent ops** (:data:`IDEMPOTENT_OPS`, derived
+  from :data:`repro.service.protocol.OPS` — every current op is a pure
+  read/compute; a future mutating op must declare ``idempotent=False``
+  or a retry could double-apply it).  Structured errors from the server
+  are answers, never retried.
 * **deadline propagation** — a ``classify(deadline=...)`` budget is a
   *total* budget: every (re)send carries the remaining budget (shrunk
   by elapsed time including backoff sleeps), the server honors it
@@ -60,11 +61,14 @@ from repro.service import protocol
 
 __all__ = ["IDEMPOTENT_OPS", "RetryPolicy", "ServiceClient"]
 
-#: ops a broken transport may transparently resend — all pure reads or
-#: deterministic computations; never add a mutating op
+#: ops a broken transport may transparently resend
 IDEMPOTENT_OPS = frozenset(
-    {"classify", "metrics", "ping", "signoff", "stats", "tightness"}
+    op for op, spec in protocol.OPS.items() if spec.idempotent
 )
+
+# the convenience methods' defaults are the wire defaults
+_CLASSIFY = protocol.OPS["classify"].fields
+_SIGNOFF = protocol.OPS["signoff"].fields
 
 
 @dataclass(frozen=True)
@@ -342,12 +346,12 @@ class ServiceClient:
         self,
         circuit: "Circuit | str | None" = None,
         bench: "str | None" = None,
-        criterion: str = "sigma",
-        sort: str = "heu2",
+        criterion: str = _CLASSIFY["criterion"].default,
+        sort: str = _CLASSIFY["sort"].default,
         max_accepted: "int | None" = None,
         deadline: "float | None" = None,
         on_event: "Callable[[dict], None] | None" = None,
-        cones: bool = False,
+        cones: bool = _CLASSIFY["cones"].default,
     ) -> dict:
         """Classify a suite circuit (by name), ``.bench`` text, or an
         in-memory :class:`~repro.circuit.netlist.Circuit` (serialized to
@@ -356,30 +360,18 @@ class ServiceClient:
         ``cones=True`` requests cone granularity (the ECO path): the
         server reuses stored cone rows where it can and the result
         carries a ``"cone_stats"`` reuse summary."""
-        fields: dict = {"criterion": criterion, "sort": sort}
-        if cones:
-            fields["cones"] = True
-        if isinstance(circuit, Circuit):
-            from repro.circuit.bench import write_bench
-
-            fields["bench"] = write_bench(circuit)
-            fields["name"] = circuit.name
-        elif circuit is not None:
-            fields["circuit"] = circuit
-        if bench is not None:
-            fields["bench"] = bench
-        if max_accepted is not None:
-            fields["max_accepted"] = max_accepted
-        if deadline is not None:
-            fields["deadline"] = deadline
-        return self.request("classify", on_event=on_event, **fields)
+        return self._compute(
+            "classify", circuit, bench, on_event,
+            criterion=criterion, sort=sort, max_accepted=max_accepted,
+            deadline=deadline, cones=cones,
+        )
 
     def tightness(
         self,
         circuit: "Circuit | str | None" = None,
         bench: "str | None" = None,
-        criterion: str = "sigma",
-        sort: str = "heu2",
+        criterion: str = _CLASSIFY["criterion"].default,
+        sort: str = _CLASSIFY["sort"].default,
         max_accepted: "int | None" = None,
         deadline: "float | None" = None,
         on_event: "Callable[[dict], None] | None" = None,
@@ -390,21 +382,11 @@ class ServiceClient:
         replays and solver diagnostics — plus fingerprint and session
         stats.  A circuit whose classifier accepts more than
         ``max_accepted`` paths answers a structured ``ClassifyError``."""
-        fields: dict = {"criterion": criterion, "sort": sort}
-        if isinstance(circuit, Circuit):
-            from repro.circuit.bench import write_bench
-
-            fields["bench"] = write_bench(circuit)
-            fields["name"] = circuit.name
-        elif circuit is not None:
-            fields["circuit"] = circuit
-        if bench is not None:
-            fields["bench"] = bench
-        if max_accepted is not None:
-            fields["max_accepted"] = max_accepted
-        if deadline is not None:
-            fields["deadline"] = deadline
-        return self.request("tightness", on_event=on_event, **fields)
+        return self._compute(
+            "tightness", circuit, bench, on_event,
+            criterion=criterion, sort=sort, max_accepted=max_accepted,
+            deadline=deadline,
+        )
 
     def signoff(
         self,
@@ -412,9 +394,9 @@ class ServiceClient:
         bench: "str | None" = None,
         k: "int | None" = None,
         slack: "float | None" = None,
-        exact: bool = False,
+        exact: bool = _SIGNOFF["exact"].default,
         delays: "str | None" = None,
-        seed: int = 0,
+        seed: int = _SIGNOFF["seed"].default,
         deadline: "float | None" = None,
         on_event: "Callable[[dict], None] | None" = None,
     ) -> dict:
@@ -426,7 +408,27 @@ class ServiceClient:
         assignment from ``seed``.  Scan designs fan out client-side —
         one request per capture cone; see
         :func:`repro.signoff.signoff_remote`."""
-        fields: dict = {}
+        return self._compute(
+            "signoff", circuit, bench, on_event,
+            k=k, slack=slack, exact=exact, delays=delays, seed=seed,
+            deadline=deadline,
+        )
+
+    def _compute(
+        self,
+        op: str,
+        circuit: "Circuit | str | None",
+        bench: "str | None",
+        on_event: "Callable[[dict], None] | None",
+        **values,
+    ) -> dict:
+        """Send a compute op: the circuit source plus every field whose
+        value differs from its wire default."""
+        spec = protocol.OPS[op].fields
+        fields = {
+            name: value for name, value in values.items()
+            if value != spec[name].default
+        }
         if isinstance(circuit, Circuit):
             from repro.circuit.bench import write_bench
 
@@ -436,16 +438,4 @@ class ServiceClient:
             fields["circuit"] = circuit
         if bench is not None:
             fields["bench"] = bench
-        if k is not None:
-            fields["k"] = k
-        if slack is not None:
-            fields["slack"] = slack
-        if exact:
-            fields["exact"] = True
-        if delays is not None:
-            fields["delays"] = delays
-        if seed:
-            fields["seed"] = seed
-        if deadline is not None:
-            fields["deadline"] = deadline
-        return self.request("signoff", on_event=on_event, **fields)
+        return self.request(op, on_event=on_event, **fields)

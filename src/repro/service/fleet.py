@@ -8,26 +8,29 @@ socket with its own session pool and store handle.
 
 Request path, in order:
 
-1. **Fingerprint routing** — classify requests are consistent-hashed by
+1. **Validation** — every request is checked against
+   :data:`protocol.OPS` first, so a malformed request answers
+   ``ProtocolError`` without touching a worker.
+2. **Fingerprint routing** — compute requests are consistent-hashed by
    their circuit's ``rdfp1:`` fingerprint
    (:mod:`repro.service.hashring`), so every circuit has a home shard
    whose in-memory implication engine and store pages stay hot.  The
-   fingerprint comes from a front-end LRU keyed by the request's
-   ``circuit`` name or ``bench`` digest; a miss parses the netlist once
-   in a side thread (malformed input therefore fails fast at the
+   fingerprint comes from a front-end LRU keyed by
+   :func:`protocol.source_key`; a miss parses the netlist once in a
+   side thread (a malformed netlist therefore fails fast at the
    front-end, before touching a worker).
-2. **Single-flight coalescing** — concurrent identical ``(fingerprint,
-   criterion, sort, max_accepted, deadline)`` classifies share one
-   worker computation.  The first request is the *leader* (it streams
-   the worker's ``start`` event and computes); every other joins as a
-   *follower* and receives the leader's final answer with
-   ``"coalesced": true``.  A failing leader fails its followers with
-   the same structured error.
-3. **Admission control** — each worker has a bounded pending queue
-   (``max_pending``).  A classify routed to a full shard is shed with a
+3. **Single-flight coalescing** — concurrent identical requests (same
+   op, same :func:`protocol.source_key`, same fields once defaults are
+   filled in) share one worker computation.  The first request is the
+   *leader* (it streams the worker's ``start`` event and computes);
+   every other joins as a *follower* and receives the leader's final
+   answer with ``"coalesced": true``.  A failing leader fails its
+   followers with the same structured error.
+4. **Admission control** — each worker has a bounded pending queue
+   (``max_pending``).  A request routed to a full shard is shed with a
    structured ``Overloaded`` error carrying a ``retry_after`` hint
    instead of buffering without bound.
-4. **Failure handling** — a worker that dies or wedges mid-request
+5. **Failure handling** — a worker that dies or wedges mid-request
    breaks the front-end's backend connection; the front-end drops the
    shard from the ring, pokes the supervisor (which respawns it with
    backoff), and transparently retries idempotent requests on a
@@ -43,8 +46,6 @@ re-shrinks it on a retry), and the worker honors it server-side.
 from __future__ import annotations
 
 import asyncio
-import hashlib
-import os
 import shutil
 import tempfile
 import time
@@ -66,20 +67,12 @@ from repro.service.hashring import HashRing
 from repro.service.server import (
     JsonLineServer,
     _build_circuit,
-    _Counters,
     run_until_signalled,
 )
 from repro.service.supervisor import WorkerSupervisor, unix_rpc
 from repro.store.fingerprint import canonical_form
 
 __all__ = ["FleetServer", "serve_fleet"]
-
-#: ops safe to retry on another worker after a mid-request crash — all
-#: current ops are pure/deterministic; a future mutating op must NOT be
-#: added here (the fleet would double-apply it)
-IDEMPOTENT_OPS = frozenset(
-    {"classify", "metrics", "ping", "signoff", "stats", "tightness"}
-)
 
 
 class _WorkerConnError(ServiceError):
@@ -100,6 +93,9 @@ class _RelayedError(ReproError):
 
 class FleetServer(JsonLineServer):
     """Front-end acceptor + supervisor for N worker processes."""
+
+    metric_prefix = "fleet"
+    request_prefix = "flt"
 
     def __init__(
         self,
@@ -130,7 +126,6 @@ class FleetServer(JsonLineServer):
         self.retry_attempts = retry_attempts
         self.reroute_wait = reroute_wait
         self.health_timeout = health_timeout
-        self.counters = _Counters()
         self._socket_dir = socket_dir or tempfile.mkdtemp(prefix="repro-fleet-")
         self._own_socket_dir = socket_dir is None
         self.supervisor = WorkerSupervisor(
@@ -157,7 +152,6 @@ class FleetServer(JsonLineServer):
         self._fp_executor = ThreadPoolExecutor(
             max_workers=2, thread_name_prefix="repro-fleet-fp"
         )
-        self._request_seq = 0
 
     # -- lifecycle ------------------------------------------------------
     async def start(self, host=None, port=None, socket_path=None) -> str:
@@ -193,62 +187,25 @@ class FleetServer(JsonLineServer):
             bw.close()
 
     # -- request handling -----------------------------------------------
-    async def _serve_request(self, line, writer) -> None:
-        self.counters.requests += 1
-        self._request_seq += 1
-        req_id = f"flt-{self._request_seq}"
-        registry = get_registry()
-        registry.counter("fleet.requests").inc()
-        started = time.perf_counter()
-        request_id = None
-        try:
-            message = protocol.decode_line(line)
-            request_id = message.get("id")
-            op = protocol.validate_request(message)
-            registry.counter(f"fleet.op.{op}").inc()
-            if op == "ping":
-                result = {
-                    "server": "repro-rd-fleet",
-                    "version": __version__,
-                    "workers": len(self.supervisor.workers),
-                }
-            elif op == "stats":
-                result = self._op_stats()
-            elif op == "metrics":
-                result = await self._op_metrics()
-            else:
-                result = await self._op_classify(message, writer, req_id)
-            await self._send(
-                writer, protocol.ok_response(request_id, result, req_id)
-            )
-            self.counters.ok += 1
-            registry.counter("fleet.ok").inc()
-        except _RelayedError as exc:
-            self.counters.errors += 1
-            registry.counter("fleet.relayed_errors").inc()
-            await self._send(writer, {
-                "id": request_id, "ok": False,
-                "error": dict(exc.error), "request_id": req_id,
-            })
-        except ReproError as exc:
-            self.counters.errors += 1
-            registry.counter("fleet.errors").inc()
-            await self._send(
-                writer, protocol.error_response(request_id, exc, req_id)
-            )
-        except Exception as exc:  # defensive: never kill the connection
-            self.counters.errors += 1
-            registry.counter("fleet.errors").inc()
-            await self._send(
-                writer, protocol.error_response(request_id, exc, req_id)
-            )
-        finally:
-            registry.histogram("fleet.request_seconds").observe(
-                time.perf_counter() - started
-            )
+    def _error(self, exc: Exception, request_id, req_id: str) -> dict:
+        if not isinstance(exc, _RelayedError):
+            return super()._error(exc, request_id, req_id)
+        self.counters.errors += 1
+        get_registry().counter("fleet.relayed_errors").inc()
+        return {
+            "id": request_id, "ok": False,
+            "error": dict(exc.error), "request_id": req_id,
+        }
 
     # -- ops ------------------------------------------------------------
-    def _op_stats(self) -> dict:
+    async def _op_ping(self) -> dict:
+        return {
+            "server": "repro-rd-fleet",
+            "version": __version__,
+            "workers": len(self.supervisor.workers),
+        }
+
+    async def _op_stats(self) -> dict:
         registry = get_registry()
         workers = []
         for handle in self.supervisor.describe():
@@ -293,42 +250,14 @@ class FleetServer(JsonLineServer):
             "metrics": merged.snapshot(),
         }
 
-    # -- classify: fingerprint, coalesce, dispatch ----------------------
-    async def _op_classify(self, message, writer, req_id) -> dict:
+    # -- compute ops: fingerprint, coalesce, dispatch -------------------
+    async def _compute(self, op, fields, message, writer, req_id) -> dict:
         t0 = time.monotonic()
-        deadline = message.get("deadline")
-        if deadline is not None and not isinstance(deadline, (int, float)):
-            raise ProtocolError("'deadline' must be a number of seconds")
-        fingerprint = await self._fingerprint_for(message)
-        # the op is part of the key: a classify and a tightness request
-        # on the same circuit compute different answers
-        op = message.get("op", "classify")
-        if op == "signoff":
-            # an rdfp1: fingerprint is timing-blind, so the query AND the
-            # delay assignment must separate otherwise-identical requests
-            delays_text = message.get("delays")
-            key = (
-                op,
-                fingerprint,
-                message.get("k"),
-                message.get("slack"),
-                bool(message.get("exact", False)),
-                message.get("seed", 0),
-                None if delays_text is None else hashlib.sha256(
-                    delays_text.encode("utf-8")
-                ).hexdigest(),
-                deadline,
-            )
-        else:
-            key = (
-                op,
-                fingerprint,
-                message.get("criterion", "sigma"),
-                message.get("sort", "heu2"),
-                message.get("max_accepted"),
-                deadline,
-                bool(message.get("cones", False)),
-            )
+        source = protocol.source_key(message)
+        fingerprint = await self._fingerprint_for(source, message)
+        # identical requests: same op, same circuit source (names
+        # included) and the same fields after defaults are filled in
+        key = (op, source, *fields.items())
         registry = get_registry()
         inflight = self._inflight.get(key)
         if inflight is not None:
@@ -341,7 +270,7 @@ class FleetServer(JsonLineServer):
         self._inflight[key] = future
         try:
             result = await self._dispatch(
-                message, fingerprint, writer, t0, deadline
+                op, message, fingerprint, writer, t0, fields["deadline"]
             )
             result["coalesced"] = False
             cone_stats = result.get("cone_stats")
@@ -359,23 +288,16 @@ class FleetServer(JsonLineServer):
         finally:
             del self._inflight[key]
 
-    async def _fingerprint_for(self, message: dict) -> str:
-        bench = message.get("bench")
-        if bench is not None and isinstance(bench, str):
-            cache_key = (
-                "bench", hashlib.sha256(bench.encode("utf-8")).hexdigest()
-            )
-        else:
-            cache_key = ("circuit", message.get("circuit"))
-        cached = self._fingerprints.get(cache_key)
+    async def _fingerprint_for(self, source: tuple, message: dict) -> str:
+        cached = self._fingerprints.get(source)
         if cached is not None:
-            self._fingerprints.move_to_end(cache_key)
+            self._fingerprints.move_to_end(source)
             return cached
         loop = asyncio.get_event_loop()
         fingerprint = await loop.run_in_executor(
             self._fp_executor, self._compute_fingerprint, message
         )
-        self._fingerprints[cache_key] = fingerprint
+        self._fingerprints[source] = fingerprint
         while len(self._fingerprints) > 4096:
             self._fingerprints.popitem(last=False)
         return fingerprint
@@ -385,16 +307,15 @@ class FleetServer(JsonLineServer):
         return canonical_form(_build_circuit(message)).fingerprint
 
     async def _dispatch(
-        self, message, fingerprint, writer, t0, deadline
+        self, op, message, fingerprint, writer, t0, deadline
     ) -> dict:
-        """Route, admit and forward one classify; transparently retry a
-        transport-level worker failure on the (re-routed) ring."""
+        """Route, admit and forward one compute request; transparently
+        retry a transport-level worker failure on the (re-routed) ring
+        when the op is idempotent."""
         registry = get_registry()
-        label = message.get("circuit") or message.get(
-            "name", fingerprint[:18]
-        )
+        attempts = self.retry_attempts if protocol.OPS[op].idempotent else 1
         last_error = "worker connection failed"
-        for attempt in range(self.retry_attempts):
+        for attempt in range(attempts):
             worker = await self._route(fingerprint)
             if self._pending.get(worker, 0) >= self.max_pending:
                 registry.counter("fleet.shed").inc()
@@ -420,13 +341,13 @@ class FleetServer(JsonLineServer):
                 # shard once its replacement answers pings
                 self._worker_down(worker)
                 self.supervisor.note_failure(worker)
-                if attempt + 1 < self.retry_attempts:
+                if attempt + 1 < attempts:
                     registry.counter("fleet.retries").inc()
             finally:
                 self._pending[worker] = max(
                     0, self._pending.get(worker, 1) - 1
                 )
-        raise TaskCrashed(str(label), last_error)
+        raise TaskCrashed(protocol.source_label(message), last_error)
 
     async def _route(self, fingerprint: str) -> int:
         try:
@@ -458,8 +379,7 @@ class FleetServer(JsonLineServer):
                 if remaining <= 0:
                     reusable = True  # never wrote to the connection
                     raise TaskTimeout(
-                        str(message.get("circuit", "classify")),
-                        float(deadline),
+                        protocol.source_label(message), float(deadline)
                     )
                 downstream["deadline"] = remaining
             try:

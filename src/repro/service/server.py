@@ -3,17 +3,23 @@
 A stdlib-only asyncio server speaking the JSON-lines protocol of
 :mod:`repro.service.protocol` over TCP or a unix socket.  Requests are
 classified in a thread pool through a *session pool* shared across
-connections — sessions are keyed by circuit fingerprint, so repeated
-requests for the same (or an isomorphic) circuit reuse the in-memory
-implication engine and, when the server was started with a result
-store, every result read through and written back to disk.
+connections — sessions are keyed by request source (suite name, or
+``.bench`` digest plus name), so repeated requests for the same circuit
+reuse the parsed netlist and the in-memory implication engine and, when
+the server was started with a result store, every result is read
+through and written back to disk (the store is keyed by fingerprint, so
+renamed or reordered copies share it).
+
+Every compute op in :data:`protocol.OPS` runs through one pipeline
+(:meth:`AnalysisServer._compute`) around a worker function
+``(session, fields) -> dict`` from ``_WORKERS``.
 
 Execution discipline:
 
 * **Bounded concurrency** — at most ``concurrency`` classifications run
   at once (an :class:`asyncio.Semaphore` gates admission; the thread
   pool has exactly that many workers).  Further requests queue.
-* **Per-request deadlines** — each classify carries a wall-clock budget
+* **Per-request deadlines** — each compute op carries a wall-clock budget
   (the request's ``deadline`` field, the server default, or the
   supervisor rule :func:`~repro.experiments.supervisor.default_task_budget`
   applied to the circuit's exact path count).  A blown deadline answers
@@ -34,62 +40,65 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from threading import Lock
+from typing import Callable
 
 from repro import __version__
 from repro.circuit.bench import parse_bench
 from repro.circuit.netlist import Circuit
 from repro.classify.conditions import Criterion
 from repro.classify.session import CircuitSession
-from repro.errors import CircuitError, ProtocolError, ReproError, TaskTimeout
+from repro.errors import CircuitError, ProtocolError, TaskTimeout
 from repro.experiments.supervisor import default_task_budget
 from repro.gen.suite import get_circuit
 from repro.obs import get_registry
 from repro.service import protocol
-from repro.sorting.heuristics import pin_order_sort
 from repro.store.db import ResultStore, as_store
-from repro.store.fingerprint import canonical_form
 from repro.util.serialize import classification_payload
 
 __all__ = ["AnalysisServer", "JsonLineServer", "run_until_signalled", "serve"]
 
-_CRITERIA = {"fs": Criterion.FS, "nr": Criterion.NR, "sigma": Criterion.SIGMA_PI}
-
 
 class SessionPool:
-    """Idle :class:`CircuitSession` objects keyed by circuit fingerprint.
+    """Idle :class:`CircuitSession` objects keyed by request source.
 
+    The key is :func:`~repro.service.protocol.source_key` — the suite
+    name, or the ``.bench`` digest plus the request's name — so a
+    renamed copy of a netlist gets its own session (and its own names
+    in every answer) while a repeated request skips the parse.
     Sessions are not thread-safe (they share one implication engine), so
     a checked-out session belongs to exactly one request until it is
     checked back in.  The pool is bounded: beyond ``max_idle`` idle
-    sessions the oldest fingerprint's surplus is dropped (its state is
-    only a cache — with a store behind it nothing is lost).
+    sessions the oldest key's surplus is dropped (its state is only a
+    cache — with a store behind it nothing is lost).
     """
 
     def __init__(self, store: "ResultStore | None", max_idle: int = 16):
         self._store = store
         self._max_idle = max_idle
-        self._idle: "dict[str, list[CircuitSession]]" = {}
+        self._idle: "dict[tuple, list[CircuitSession]]" = {}
         self._lock = Lock()
 
-    def checkout(self, circuit: Circuit) -> CircuitSession:
-        canon = canonical_form(circuit)
+    def checkout(
+        self, key: tuple, build: "Callable[[], Circuit]"
+    ) -> CircuitSession:
+        """An idle session for ``key``, else a new one on ``build()``."""
         with self._lock:
-            idle = self._idle.get(canon.fingerprint)
+            idle = self._idle.get(key)
             if idle:
                 session = idle.pop()
                 if not idle:
-                    del self._idle[canon.fingerprint]
+                    del self._idle[key]
                 return session
-        return CircuitSession(circuit, store=self._store, _canon=canon)
+        return CircuitSession(build(), store=self._store)
 
-    def checkin(self, session: CircuitSession) -> None:
+    def checkin(self, key: tuple, session: CircuitSession) -> None:
         with self._lock:
             if sum(len(v) for v in self._idle.values()) >= self._max_idle:
-                # drop the least-recently-stocked fingerprint's sessions
+                # drop the least-recently-stocked key's sessions
                 oldest = next(iter(self._idle), None)
                 if oldest is not None:
                     del self._idle[oldest]
-            self._idle.setdefault(session.fingerprint, []).append(session)
+            self._idle.setdefault(key, []).append(session)
 
     def idle_count(self) -> int:
         with self._lock:
@@ -125,56 +134,41 @@ class _Connection:
 
 
 def _build_circuit(message: dict) -> Circuit:
+    """The circuit of a compute request :func:`protocol.parse_request`
+    accepted."""
     bench = message.get("bench")
-    name = message.get("circuit")
-    if (bench is None) == (name is None):
-        raise ProtocolError(
-            "classify needs exactly one of 'bench' (netlist text) or "
-            "'circuit' (suite generator name)"
-        )
     if bench is not None:
-        if not isinstance(bench, str):
-            raise ProtocolError("'bench' must be .bench source text")
-        return parse_bench(bench, name=str(message.get("name", "remote")))
-    if not isinstance(name, str):
-        raise ProtocolError("'circuit' must be a suite generator name")
+        return parse_bench(bench, name=protocol.source_label(message))
     try:
-        return get_circuit(name)
+        return get_circuit(message["circuit"])
     except KeyError as exc:
         # suite lookup errors become CircuitError so remote callers can
         # dispatch on the same type as for a malformed netlist
         raise CircuitError(str(exc.args[0])) from exc
 
 
-def _resolve_sort(session: CircuitSession, kind: str):
-    if kind == "pin":
-        return pin_order_sort(session.circuit)
-    if kind == "heu1":
-        return session.heuristic1_sort()
-    if kind == "heu2":
-        return session.heuristic2_sort()
-    if kind == "heu2inv":
-        return session.heuristic2_sort().inverted()
-    raise ProtocolError(
-        f"unknown sort {kind!r}; valid: pin, heu1, heu2, heu2inv"
-    )
-
-
 class JsonLineServer:
     """Shared lifecycle of every JSON-lines daemon in this package.
 
-    Owns the listener, the connection set and the graceful-drain state
-    machine; subclasses implement :meth:`_serve_request` (answer one
-    decoded wire line on the still-open connection) and may hook
-    :meth:`_on_close` for resource teardown.  :class:`AnalysisServer`
-    is the single-process classifier daemon;
+    Owns the listener, the connection set, the graceful-drain state
+    machine and the request path (decode, check against
+    :data:`protocol.OPS`, answer or structured error); subclasses
+    implement :meth:`_compute` for compute ops and ``_op_<name>`` for
+    the others, and may hook :meth:`_on_close` for resource teardown.
+    :class:`AnalysisServer` is the single-process classifier daemon;
     :class:`~repro.service.fleet.FleetServer` is the sharding
     front-end — both speak the identical protocol through this base,
     so a client cannot tell which one it connected to.
     """
 
+    #: telemetry name prefix and server-assigned request-id prefix
+    metric_prefix = "service"
+    request_prefix = "req"
+
     def __init__(self, drain_timeout: float = 30.0):
         self.drain_timeout = drain_timeout
+        self.counters = _Counters()
+        self._request_seq = 0
         self._server: "asyncio.base_events.Server | None" = None
         self._connections: "set[_Connection]" = set()
         self._tasks: "set[asyncio.Task]" = set()
@@ -297,6 +291,55 @@ class JsonLineServer:
     async def _serve_request(
         self, line: bytes, writer: asyncio.StreamWriter
     ) -> None:
+        """Answer one request; every failure is a structured error
+        response on the same connection, never a disconnect.
+
+        Every message the server sends for this request carries the
+        server-assigned ``request_id`` (``<request_prefix>-<n>``), so a
+        ``start`` event, its result/error and the server's telemetry
+        correlate.
+        """
+        self.counters.requests += 1
+        self._request_seq += 1
+        req_id = f"{self.request_prefix}-{self._request_seq}"
+        prefix = self.metric_prefix
+        registry = get_registry()
+        registry.counter(f"{prefix}.requests").inc()
+        started = time.perf_counter()
+        request_id = None
+        try:
+            message = protocol.decode_line(line)
+            request_id = message.get("id")
+            op, fields = protocol.parse_request(message)
+            registry.counter(f"{prefix}.op.{op}").inc()
+            if protocol.OPS[op].compute:
+                result = await self._compute(
+                    op, fields, message, writer, req_id
+                )
+            else:
+                result = await getattr(self, f"_op_{op}")()
+            await self._send(
+                writer, protocol.ok_response(request_id, result, req_id)
+            )
+            self.counters.ok += 1
+            registry.counter(f"{prefix}.ok").inc()
+        except Exception as exc:  # defensive: never kill the connection
+            await self._send(writer, self._error(exc, request_id, req_id))
+        finally:
+            registry.histogram(f"{prefix}.request_seconds").observe(
+                time.perf_counter() - started
+            )
+
+    def _error(self, exc: Exception, request_id, req_id: str) -> dict:
+        """Count one failed request and build its error response."""
+        self.counters.errors += 1
+        get_registry().counter(f"{self.metric_prefix}.errors").inc()
+        return protocol.error_response(request_id, exc, req_id)
+
+    async def _compute(
+        self, op: str, fields: dict, message: dict,
+        writer: asyncio.StreamWriter, req_id: str,
+    ) -> dict:
         raise NotImplementedError
 
 
@@ -323,13 +366,11 @@ class AnalysisServer(JsonLineServer):
         self.concurrency = concurrency
         self.default_deadline = default_deadline
         self.max_accepted = max_accepted
-        self.counters = _Counters()
         self.sessions = SessionPool(self.store, max_idle=2 * concurrency)
         self._executor = ThreadPoolExecutor(
             max_workers=concurrency, thread_name_prefix="repro-classify"
         )
         self._admission = asyncio.Semaphore(concurrency)
-        self._request_seq = 0
 
     def _on_close(self) -> None:
         self._executor.shutdown(wait=False)
@@ -339,70 +380,25 @@ class AnalysisServer(JsonLineServer):
     async def _serve_request(
         self, line: bytes, writer: asyncio.StreamWriter
     ) -> None:
-        """Answer one request; every failure is a structured error
-        response on the same connection, never a disconnect.
-
-        Every message the server sends for this request carries the
-        server-assigned ``request_id`` (``req-<n>``), so a ``start``
-        event, its result/error and the server's telemetry correlate.
-        """
-        self.counters.requests += 1
-        self._request_seq += 1
-        req_id = f"req-{self._request_seq}"
-        registry = get_registry()
-        registry.counter("service.requests").inc()
-        in_flight = registry.gauge("service.in_flight")
+        in_flight = get_registry().gauge("service.in_flight")
         in_flight.inc()
-        started = time.perf_counter()
-        request_id = None
         try:
-            message = protocol.decode_line(line)
-            request_id = message.get("id")
-            op = protocol.validate_request(message)
-            registry.counter(f"service.op.{op}").inc()
-            if op == "ping":
-                result = {"server": "repro-rd", "version": __version__}
-            elif op == "stats":
-                result = await self._op_stats()
-            elif op == "metrics":
-                result = self._op_metrics()
-            elif op == "tightness":
-                result = await self._op_tightness(message, writer, req_id)
-            elif op == "signoff":
-                result = await self._op_signoff(message, writer, req_id)
-            else:
-                result = await self._op_classify(message, writer, req_id)
-            await self._send(
-                writer, protocol.ok_response(request_id, result, req_id)
-            )
-            self.counters.ok += 1
-            registry.counter("service.ok").inc()
-        except TaskTimeout as exc:
-            self.counters.timeouts += 1
-            registry.counter("service.deadline_aborts").inc()
-            await self._send(
-                writer, protocol.error_response(request_id, exc, req_id)
-            )
-        except ReproError as exc:
-            self.counters.errors += 1
-            registry.counter("service.errors").inc()
-            await self._send(
-                writer, protocol.error_response(request_id, exc, req_id)
-            )
-        except Exception as exc:  # defensive: never kill the connection
-            self.counters.errors += 1
-            registry.counter("service.errors").inc()
-            await self._send(
-                writer, protocol.error_response(request_id, exc, req_id)
-            )
+            await super()._serve_request(line, writer)
         finally:
             in_flight.dec()
-            registry.histogram("service.request_seconds").observe(
-                time.perf_counter() - started
-            )
+
+    def _error(self, exc: Exception, request_id, req_id: str) -> dict:
+        if not isinstance(exc, TaskTimeout):
+            return super()._error(exc, request_id, req_id)
+        self.counters.timeouts += 1
+        get_registry().counter("service.deadline_aborts").inc()
+        return protocol.error_response(request_id, exc, req_id)
 
     # -- ops ------------------------------------------------------------
-    def _op_metrics(self) -> dict:
+    async def _op_ping(self) -> dict:
+        return {"server": "repro-rd", "version": __version__}
+
+    async def _op_metrics(self) -> dict:
         """The server's full telemetry snapshot (``repro-rd metrics``)."""
         return {
             "server": "repro-rd",
@@ -430,319 +426,175 @@ class AnalysisServer(JsonLineServer):
             }
         return result
 
-    async def _op_classify(
-        self, message: dict, writer: asyncio.StreamWriter, req_id: str
+    async def _compute(
+        self, op: str, fields: dict, message: dict,
+        writer: asyncio.StreamWriter, req_id: str,
     ) -> dict:
-        criterion_name = message.get("criterion", "sigma")
-        if criterion_name not in _CRITERIA:
-            raise ProtocolError(
-                f"unknown criterion {criterion_name!r}; valid: "
-                f"{', '.join(sorted(_CRITERIA))}"
-            )
-        criterion = _CRITERIA[criterion_name]
-        sort_kind = message.get("sort", "heu2")
-        max_accepted = message.get("max_accepted", self.max_accepted)
-        if max_accepted is not None and not isinstance(max_accepted, int):
-            raise ProtocolError("'max_accepted' must be an integer")
-        cones = message.get("cones", False)
-        if not isinstance(cones, bool):
-            raise ProtocolError("'cones' must be a boolean")
-        if cones and sort_kind not in ("pin", "heu1", "heu2"):
-            raise ProtocolError(
-                f"sort {sort_kind!r} is not available at cone granularity; "
-                "valid: pin, heu1, heu2"
-            )
-        deadline = message.get("deadline", self.default_deadline)
-        if deadline is not None and not isinstance(deadline, (int, float)):
-            raise ProtocolError("'deadline' must be a number of seconds")
-
+        """One compute op: admission, prepare the session, stream the
+        ``start`` event, then run the op's worker under its deadline."""
+        if "max_accepted" in fields and fields["max_accepted"] is None:
+            fields["max_accepted"] = self.max_accepted
+        deadline = fields["deadline"]
+        if deadline is None:
+            deadline = self.default_deadline
+        key = protocol.source_key(message)
         loop = asyncio.get_event_loop()
         async with self._admission:
             # cheap linear prep (parse + counts) sized the budget;
-            # the classification itself runs under wait_for below
-            circuit, session, total = await loop.run_in_executor(
-                self._executor, self._prepare, message
+            # the op itself runs under wait_for below
+            session, fingerprint, total = await loop.run_in_executor(
+                self._executor, self._prepare, key, message
             )
+            name = session.circuit.name
             if deadline is None:
                 deadline = default_task_budget(total)
+            deadline = float(deadline)
             await self._send(
                 writer,
                 protocol.event(
                     message.get("id"), "start",
                     server_request_id=req_id,
-                    name=circuit.name,
-                    fingerprint=session.fingerprint,
+                    name=name,
+                    fingerprint=fingerprint,
                     total_logical=total,
-                    deadline=round(float(deadline), 3),
+                    deadline=round(deadline, 3),
                 ),
             )
             started = time.monotonic()
             work = loop.run_in_executor(
-                self._executor,
-                self._classify, session, criterion, sort_kind, max_accepted,
-                cones,
+                self._executor, self._work, _WORKERS[op], key, session, fields
             )
             try:
-                result = await asyncio.wait_for(work, timeout=float(deadline))
+                result = await asyncio.wait_for(work, timeout=deadline)
             except asyncio.TimeoutError:
                 # the worker thread cannot be interrupted; it finishes in
                 # the background and only then returns its session to the
-                # pool (see _classify), so no session is ever shared
-                raise TaskTimeout(circuit.name, float(deadline)) from None
+                # pool (see _work), so no session is ever shared
+                raise TaskTimeout(name, deadline) from None
             # the deadline is a hard contract: a worker that blows the
             # budget but completes before the event loop fires the
             # wait_for timer (the GIL can starve the loop for a whole
             # switch interval on sub-ms circuits) still answers TaskTimeout
-            if time.monotonic() - started > float(deadline):
-                raise TaskTimeout(circuit.name, float(deadline))
+            if time.monotonic() - started > deadline:
+                raise TaskTimeout(name, deadline)
             return result
 
-    async def _op_tightness(
-        self, message: dict, writer: asyncio.StreamWriter, req_id: str
+    def _prepare(
+        self, key: tuple, message: dict
+    ) -> "tuple[CircuitSession, str, int]":
+        # a session whose fingerprint or counts fail is dropped, not
+        # checked back in
+        session = self.sessions.checkout(key, lambda: _build_circuit(message))
+        return session, session.fingerprint, session.counts.total_logical
+
+    def _work(
+        self, worker: "Callable[[CircuitSession, dict], dict]", key: tuple,
+        session: CircuitSession, fields: dict,
     ) -> dict:
-        """Exact-vs-approximate verdicts for one circuit (repro.verdict)."""
-        criterion_name = message.get("criterion", "sigma")
-        if criterion_name not in _CRITERIA:
-            raise ProtocolError(
-                f"unknown criterion {criterion_name!r}; valid: "
-                f"{', '.join(sorted(_CRITERIA))}"
-            )
-        criterion = _CRITERIA[criterion_name]
-        sort_kind = message.get("sort", "heu2")
-        if sort_kind not in ("pin", "heu1", "heu2", "heu2inv"):
-            raise ProtocolError(
-                f"unknown sort {sort_kind!r}; valid: pin, heu1, heu2, heu2inv"
-            )
-        max_accepted = message.get("max_accepted", self.max_accepted)
-        if max_accepted is not None and not isinstance(max_accepted, int):
-            raise ProtocolError("'max_accepted' must be an integer")
-        deadline = message.get("deadline", self.default_deadline)
-        if deadline is not None and not isinstance(deadline, (int, float)):
-            raise ProtocolError("'deadline' must be a number of seconds")
+        try:
+            return worker(session, fields)
+        finally:
+            self.sessions.checkin(key, session)
 
-        loop = asyncio.get_event_loop()
-        async with self._admission:
-            circuit, session, total = await loop.run_in_executor(
-                self._executor, self._prepare, message
-            )
-            if deadline is None:
-                deadline = default_task_budget(total)
-            await self._send(
-                writer,
-                protocol.event(
-                    message.get("id"), "start",
-                    server_request_id=req_id,
-                    name=circuit.name,
-                    fingerprint=session.fingerprint,
-                    total_logical=total,
-                    deadline=round(float(deadline), 3),
-                ),
-            )
-            started = time.monotonic()
-            work = loop.run_in_executor(
-                self._executor,
-                self._tightness, session, criterion, sort_kind, max_accepted,
-            )
-            try:
-                result = await asyncio.wait_for(work, timeout=float(deadline))
-            except asyncio.TimeoutError:
-                raise TaskTimeout(circuit.name, float(deadline)) from None
-            if time.monotonic() - started > float(deadline):
-                raise TaskTimeout(circuit.name, float(deadline))
-            return result
 
-    async def _op_signoff(
-        self, message: dict, writer: asyncio.StreamWriter, req_id: str
-    ) -> dict:
-        """K-longest / above-slack robustly-testable paths (repro.signoff)."""
-        k = message.get("k")
-        slack = message.get("slack")
-        if k is not None and slack is not None:
-            raise ProtocolError("pass either 'k' or 'slack', not both")
-        if k is not None and (not isinstance(k, int) or k < 1):
-            raise ProtocolError("'k' must be an integer >= 1")
-        if slack is not None and not isinstance(slack, (int, float)):
-            raise ProtocolError("'slack' must be a number")
-        exact = message.get("exact", False)
-        if not isinstance(exact, bool):
-            raise ProtocolError("'exact' must be a boolean")
-        delays_text = message.get("delays")
-        if delays_text is not None and not isinstance(delays_text, str):
-            raise ProtocolError("'delays' must be annotation text")
-        seed = message.get("seed", 0)
-        if not isinstance(seed, int):
-            raise ProtocolError("'seed' must be an integer")
-        deadline = message.get("deadline", self.default_deadline)
-        if deadline is not None and not isinstance(deadline, (int, float)):
-            raise ProtocolError("'deadline' must be a number of seconds")
+def _classify(session: CircuitSession, fields: dict) -> dict:
+    from repro.verdict.tightness import resolve_sort
 
-        loop = asyncio.get_event_loop()
-        async with self._admission:
-            circuit, session, total = await loop.run_in_executor(
-                self._executor, self._prepare, message
-            )
-            if deadline is None:
-                deadline = default_task_budget(total)
-            await self._send(
-                writer,
-                protocol.event(
-                    message.get("id"), "start",
-                    server_request_id=req_id,
-                    name=circuit.name,
-                    fingerprint=session.fingerprint,
-                    total_logical=total,
-                    deadline=round(float(deadline), 3),
-                ),
-            )
-            started = time.monotonic()
-            work = loop.run_in_executor(
-                self._executor,
-                self._signoff, session, k, slack, exact, delays_text, seed,
-            )
-            try:
-                result = await asyncio.wait_for(work, timeout=float(deadline))
-            except asyncio.TimeoutError:
-                raise TaskTimeout(circuit.name, float(deadline)) from None
-            if time.monotonic() - started > float(deadline):
-                raise TaskTimeout(circuit.name, float(deadline))
-            return result
+    criterion = Criterion[protocol.CRITERIA[fields["criterion"]]]
+    sigma = criterion is Criterion.SIGMA_PI
+    sort_kind = fields["sort"] if sigma else None
+    if fields["cones"]:
+        # cone granularity: reuse stored cone rows (ECO flow);
+        # the sort stays symbolic and is derived per cone
+        from repro.incremental import cone_classify
 
-    def _signoff(
-        self,
-        session: CircuitSession,
-        k: "int | None",
-        slack: "float | None",
-        exact: bool,
-        delays_text: "str | None",
-        seed: int,
-    ) -> dict:
-        from repro.signoff import DEFAULT_K, signoff_core
-        from repro.timing.annotate import (
-            delays_digest,
-            materialize_delays,
-            parse_delay_lines,
+        report = cone_classify(
+            session.circuit,
+            criterion=criterion,
+            sort=sort_kind,
+            max_accepted=fields["max_accepted"],
+            store=session.store,
+            session_stats=session.stats,
         )
+        result = report.result
+    else:
+        sort, _label = resolve_sort(session, criterion, sort_kind)
+        result = session.classify(
+            criterion, sort=sort, max_accepted=fields["max_accepted"]
+        )
+    payload = classification_payload(
+        result,
+        fingerprint=session.fingerprint,
+        sort_kind=sort_kind,
+        session_stats=session.stats.to_dict(),
+    )
+    if fields["cones"]:
+        payload["cone_stats"] = report.reuse_stats()
+    return payload
 
-        try:
-            if k is None and slack is None:
-                k = DEFAULT_K
-            circuit = session.circuit
-            if delays_text is None:
-                delays = materialize_delays(circuit, None, seed=seed)
-            else:
-                # the wire form must cover every non-PI gate: no silent
-                # fallback, so client and server can never disagree
-                delays = materialize_delays(
-                    circuit,
-                    parse_delay_lines(delays_text, source="request"),
-                    strict=True,
-                )
-            rows, counters, source = signoff_core(
-                circuit,
-                delays,
-                k=k,
-                slack=slack,
-                exact=exact,
-                session=session,
-            )
-            return {
-                "circuit": circuit.name,
-                "mode": "k" if k is not None else "slack",
-                "k": k,
-                "slack": slack,
-                "exact": exact,
-                "delays_digest": delays_digest(
-                    delays, canonical=session.canonical
-                ),
-                "rows": [row.table_row() for row in rows],
-                "counters": counters,
-                "source": source,
-                "fingerprint": session.fingerprint,
-                "session": session.stats.to_dict(),
-            }
-        finally:
-            self.sessions.checkin(session)
 
-    def _tightness(
-        self,
-        session: CircuitSession,
-        criterion: Criterion,
-        sort_kind: str,
-        max_accepted: "int | None",
-    ) -> dict:
-        from repro.verdict import tightness_row
+def _tightness(session: CircuitSession, fields: dict) -> dict:
+    from repro.verdict import tightness_row
 
-        try:
-            row = tightness_row(
-                session.circuit,
-                criterion,
-                sort_kind,
-                session=session,
-                max_accepted=max_accepted,
-            )
-            payload = row.to_dict()
-            payload["fingerprint"] = session.fingerprint
-            payload["session"] = session.stats.to_dict()
-            return payload
-        finally:
-            self.sessions.checkin(session)
+    row = tightness_row(
+        session.circuit,
+        Criterion[protocol.CRITERIA[fields["criterion"]]],
+        fields["sort"],
+        session=session,
+        max_accepted=fields["max_accepted"],
+    )
+    payload = row.to_dict()
+    payload["fingerprint"] = session.fingerprint
+    payload["session"] = session.stats.to_dict()
+    return payload
 
-    def _prepare(self, message: dict) -> "tuple[Circuit, CircuitSession, int]":
-        circuit = _build_circuit(message)
-        session = self.sessions.checkout(circuit)
-        try:
-            total = session.counts.total_logical
-        except BaseException:
-            self.sessions.checkin(session)
-            raise
-        return circuit, session, total
 
-    def _classify(
-        self,
-        session: CircuitSession,
-        criterion: Criterion,
-        sort_kind: str,
-        max_accepted: "int | None",
-        cones: bool = False,
-    ) -> dict:
-        try:
-            if cones:
-                # cone granularity: reuse stored cone rows (ECO flow);
-                # the sort stays symbolic and is derived per cone
-                from repro.incremental import cone_classify
+def _signoff(session: CircuitSession, fields: dict) -> dict:
+    from repro.signoff import DEFAULT_K, signoff_core
+    from repro.timing.annotate import (
+        delays_digest,
+        materialize_delays,
+        parse_delay_lines,
+    )
 
-                report = cone_classify(
-                    session.circuit,
-                    criterion=criterion,
-                    sort=sort_kind if criterion is Criterion.SIGMA_PI else None,
-                    max_accepted=max_accepted,
-                    store=session.store,
-                    session_stats=session.stats,
-                )
-                payload = classification_payload(
-                    report.result,
-                    fingerprint=session.fingerprint,
-                    sort_kind=(
-                        sort_kind if criterion is Criterion.SIGMA_PI else None
-                    ),
-                    session_stats=session.stats.to_dict(),
-                )
-                payload["cone_stats"] = report.reuse_stats()
-                return payload
-            sort = None
-            if criterion is Criterion.SIGMA_PI:
-                sort = _resolve_sort(session, sort_kind)
-            result = session.classify(
-                criterion, sort=sort, max_accepted=max_accepted
-            )
-            return classification_payload(
-                result,
-                fingerprint=session.fingerprint,
-                sort_kind=sort_kind if sort is not None else None,
-                session_stats=session.stats.to_dict(),
-            )
-        finally:
-            self.sessions.checkin(session)
+    k, slack = fields["k"], fields["slack"]
+    if k is None and slack is None:
+        k = DEFAULT_K
+    circuit = session.circuit
+    text = fields["delays"]
+    # the wire form must cover every non-PI gate: no silent fallback,
+    # so client and server can never disagree
+    delays = materialize_delays(
+        circuit,
+        None if text is None else parse_delay_lines(text, source="request"),
+        seed=fields["seed"],
+        strict=text is not None,
+    )
+    rows, counters, source = signoff_core(
+        circuit, delays, k=k, slack=slack, exact=fields["exact"],
+        session=session,
+    )
+    return {
+        "circuit": circuit.name,
+        "mode": "k" if k is not None else "slack",
+        "k": k,
+        "slack": slack,
+        "exact": fields["exact"],
+        "delays_digest": delays_digest(delays, canonical=session.canonical),
+        "rows": [row.table_row() for row in rows],
+        "counters": counters,
+        "source": source,
+        "fingerprint": session.fingerprint,
+        "session": session.stats.to_dict(),
+    }
+
+
+#: the worker behind every compute op in :data:`protocol.OPS`
+_WORKERS: "dict[str, Callable[[CircuitSession, dict], dict]]" = {
+    "classify": _classify,
+    "signoff": _signoff,
+    "tightness": _tightness,
+}
 
 
 async def serve(

@@ -2,6 +2,8 @@
 coalescing, admission control, deadline propagation, merged telemetry.
 (Worker-crash and wedge scenarios live in tests/chaos/test_fleet.py.)"""
 
+import json
+import socket
 import threading
 
 import pytest
@@ -13,6 +15,7 @@ from repro.service.client import RetryPolicy, ServiceClient
 from repro.store.fingerprint import canonical_form
 
 from tests.service.fleet_harness import FleetHarness, stable_result
+from tests.service.test_server import MALFORMED_FIELDS
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +89,30 @@ class TestBasics:
                 client.classify(circuit="c17", deadline=1e-9)
         assert exc_info.value.error_type == "TaskTimeout"
 
+    def test_malformed_fields_fail_at_the_frontend(self, fleet):
+        """The fleet validates against the same op table as the daemon,
+        before routing: no worker sees a malformed request."""
+
+        def worker_requests():
+            counters = get_registry().snapshot()["counters"]
+            return {
+                name: value for name, value in counters.items()
+                if name.startswith("fleet.worker.")
+                and name.endswith(".requests")
+            }
+
+        before = worker_requests()
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.connect(fleet.address)
+        with sock, sock.makefile("rwb") as f:
+            for request in MALFORMED_FIELDS:
+                f.write(json.dumps(request).encode() + b"\n")
+                f.flush()
+                answer = json.loads(f.readline())
+                assert answer["id"] == request["id"]
+                assert answer["error"]["type"] == "ProtocolError"
+        assert worker_requests() == before
+
 
 class TestCoalescing:
     def test_concurrent_identical_requests_share_one_computation(
@@ -124,6 +151,33 @@ class TestCoalescing:
             registry.counter("fleet.coalesce_leaders").value - leaders_before
             == 1
         )
+
+    def test_renamed_copies_do_not_share_an_answer(self, fleet):
+        """Two concurrent requests for one netlist under different names
+        have the same fingerprint but must each be answered with their
+        own name."""
+        base = get_circuit("s499-ecc")
+        copies = [base.copy("alpha"), base.copy("beta")]
+        barrier = threading.Barrier(len(copies))
+        results: list = [None] * len(copies)
+
+        def worker(i):
+            with connect(fleet) as client:
+                barrier.wait()
+                results[i] = client.classify(circuit=copies[i])
+
+        threads = [
+            threading.Thread(target=worker, args=(i,))
+            for i in range(len(copies))
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+        assert all(r is not None for r in results)
+        assert [r["name"] for r in results] == ["alpha", "beta"]
+        assert all(r["coalesced"] is False for r in results)
+        assert results[0]["fingerprint"] == results[1]["fingerprint"]
 
     def test_different_params_do_not_coalesce(self, fleet):
         registry = get_registry()

@@ -4,6 +4,7 @@ structured errors on open connections, deadlines, concurrency, drain."""
 import asyncio
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -13,10 +14,27 @@ import time
 
 import pytest
 
+from repro.circuit.bench import parse_bench, write_bench
 from repro.circuit.examples import mux_circuit
 from repro.errors import RemoteError, ServiceError
+from repro.gen.suite import get_circuit
 from repro.service.client import ServiceClient
 from repro.service.server import AnalysisServer
+from repro.timing.annotate import write_delay_annotations
+from repro.timing.delays import random_delays
+
+#: well-framed requests whose fields break the op table; daemon and
+#: fleet must both answer ProtocolError for every one
+MALFORMED_FIELDS = (
+    {"id": 4, "op": "signoff", "circuit": "c17", "delays": 5},
+    {"id": 5, "op": "classify", "circuit": "c17", "max_accepted": True},
+    {"id": 6, "op": "signoff", "circuit": "c17", "k": True},
+    {"id": 7, "op": "classify", "circuit": "c17", "deadline": True},
+    {"id": 8, "op": "classify", "circuit": "c17", "criterion": "fs",
+     "sort": "bogus"},
+    {"id": 9, "op": "tightness", "circuit": "c17", "criterion": "nr",
+     "sort": "bogus"},
+)
 
 
 class ServerHarness:
@@ -155,6 +173,39 @@ class TestRequests:
         assert warm["accepted"] == whole["accepted"]
         assert "cone_stats" not in whole  # whole-circuit answers unchanged
 
+    def test_renamed_netlist_answers_with_its_own_names(self, harness):
+        """Sessions are keyed by request source, not fingerprint alone: a
+        renamed copy of a netlist the daemon has already seen answers
+        with its own circuit and gate names."""
+        h = _unix_server(harness)
+        text = write_bench(get_circuit("c17"))
+        copies = (
+            parse_bench(text, name="alpha"),
+            parse_bench(re.sub(r"\b(\d+)\b", r"\1_r", text), name="beta"),
+        )
+        with ServiceClient.connect(h.address) as client:
+            answers = [
+                (circuit, client.classify(circuit=circuit))
+                for circuit in copies
+            ]
+            for circuit, classified in answers:
+                assert classified["name"] == circuit.name
+                gates = {
+                    circuit.gate_name(g) for g in range(circuit.num_gates)
+                }
+                result = client.signoff(
+                    circuit=circuit,
+                    k=5,
+                    delays=write_delay_annotations(
+                        random_delays(circuit, seed=3)
+                    ),
+                )
+                assert result["circuit"] == circuit.name
+                assert result["rows"]
+                for row in result["rows"]:
+                    assert {gate for gate, _pin in row["path"]} <= gates
+        assert answers[0][1]["fingerprint"] == answers[1][1]["fingerprint"]
+
     def test_cones_rejects_bad_fields(self, harness):
         h = _unix_server(harness)
         with ServiceClient.connect(h.address) as client:
@@ -211,6 +262,7 @@ class TestStructuredErrors:
                 {"id": 1},
                 {"id": 2, "op": "classify"},
                 {"id": 3, "op": "classify", "bench": "x", "circuit": "y"},
+                *MALFORMED_FIELDS,
             ):
                 f.write(json.dumps(request).encode() + b"\n")
                 f.flush()
