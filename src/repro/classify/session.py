@@ -32,14 +32,15 @@ builds so tests can assert "exactly one ``count_paths`` per circuit".
 *across* processes: path counts, completed classification passes and the
 heuristic sorts are read through from — and written back to — a
 content-addressed SQLite store keyed by the circuit's canonical
-fingerprint.  Per-lead payloads cross the store in canonical lead order,
-so a permuted declaration of the same netlist still hits.  Reads are
-strictly validated; anything corrupt or version-mismatched is treated as
-a miss and recomputed.  Passes that stream paths (``on_path``) bypass
-the store (the paths themselves are not cached), and a pass whose cached
-``accepted`` exceeds the caller's ``max_accepted`` is recomputed so the
-abort contract is identical cold and warm.  :attr:`SessionStats` gains
-``store_hits``/``store_misses`` for observability.
+fingerprint, all through one read-through, :meth:`CircuitSession.cached`,
+driven by the kind table :data:`repro.store.kinds.KINDS`.  Per-lead
+payloads cross the store in canonical lead order, so a permuted
+declaration of the same netlist still hits.  Passes that stream paths
+(``on_path``) bypass the store (the paths themselves are not cached),
+and a stored pass or sort is never served past the caller's
+``max_accepted``, so the abort contract is identical cold and warm.
+:attr:`SessionStats` gains ``store_hits``/``store_misses`` for
+observability.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from repro.errors import ClassifyError
 from repro.logic.implication import ImplicationEngine
 from repro.obs import get_registry, span
 from repro.paths.count import PathCounts, count_paths
+from repro.store.kinds import KINDS
 
 if TYPE_CHECKING:  # annotation-only; avoids a classify <-> sorting cycle
     from repro.paths.path import LogicalPath
@@ -171,10 +173,9 @@ class CircuitSession:
 
             self.circuit = as_core(self.circuit)
         self.circuit._require_frozen()  # noqa: SLF001 - deliberate check
-        if isinstance(self.store, (str, Path)):
-            from repro.store.db import ResultStore
+        from repro.store.db import as_store
 
-            self.store = ResultStore(self.store)
+        self.store = as_store(self.store)
 
     # -- persistent store plumbing -------------------------------------
     @property
@@ -191,72 +192,36 @@ class CircuitSession:
         """The circuit's content-addressed fingerprint."""
         return self.canonical.fingerprint
 
-    def _store_get(self, kind: str, variant: str, load: Callable):
-        """Read-through with strict validation: ``load(payload)`` builds
-        the in-memory artifact and may raise or return ``None`` for
-        anything malformed — corrupted or mismatched entries count as
-        misses and are recomputed, never served."""
+    def cached(self, kind: str, compute: Callable, **request) -> tuple:
+        """``(value, source)``: the stored row of ``kind`` (see
+        :data:`repro.store.kinds.KINDS`) for this circuit and ``request``
+        if one can serve it (``"store"``), else ``compute()`` written
+        back (``"computed"``); counted in :attr:`stats`.  An exception
+        from ``compute`` (a budget abort) propagates, writing nothing."""
         if self.store is None:
-            return None
-        payload = self.store.get(self.fingerprint, kind, variant)
-        value = None
-        if payload is not None:
-            try:
-                value = load(payload)
-            except Exception:  # noqa: BLE001 - corrupt entry == miss
-                value = None
-        if value is None:
-            self.stats.bump("store_misses")
-        else:
+            return compute(), "computed"
+        key = (self.fingerprint, KINDS[kind].variant(self, **request))
+        [value] = self.store.lookup(kind, [key], self, **request)
+        if value is not None:
             self.stats.bump("store_hits")
-        return value
-
-    def _store_put(self, kind: str, variant: str, payload: dict) -> None:
-        if self.store is not None:
-            self.store.put(self.fingerprint, kind, variant, payload)
+            return value, "store"
+        self.stats.bump("store_misses")
+        value = compute()
+        self.store.save(kind, [(key, value)], self, **request)
+        return value, "computed"
 
     # -- cached artifacts ----------------------------------------------
-    def _load_counts(self, payload: dict) -> "PathCounts | None":
-        up_c, down_c = payload["up"], payload["down"]
-        n = self.circuit.num_gates
-        if len(up_c) != n or len(down_c) != n:
-            return None
-        if not all(isinstance(v, int) for v in up_c + down_c):
-            return None
-        up = self.canonical.unpack_gates(up_c)
-        down = self.canonical.unpack_gates(down_c)
-        # |P(l)| = up[src] * down[dst] — cheaper to rebuild than to store
-        through = [
-            up[self.circuit.lead_src(lead)] * down[self.circuit.lead_dst(lead)]
-            for lead in range(self.circuit.num_leads)
-        ]
-        return PathCounts(
-            circuit=self.circuit,
-            up=tuple(up),
-            down=tuple(down),
-            through_lead=tuple(through),
-        )
+    def _count_paths(self) -> PathCounts:
+        self.stats.bump("count_paths_calls")
+        with span("paths.count", circuit=self.circuit.name):
+            return count_paths(self.circuit)
 
     @property
     def counts(self) -> PathCounts:
         """Exact path counts: loaded from the store if possible, else
         computed at most once per session (and written back)."""
         if self._counts is None:
-            loaded = self._store_get("counts", "", self._load_counts)
-            if loaded is not None:
-                self._counts = loaded
-            else:
-                self.stats.bump("count_paths_calls")
-                with span("paths.count", circuit=self.circuit.name):
-                    self._counts = count_paths(self.circuit)
-                self._store_put(
-                    "counts",
-                    "",
-                    {
-                        "up": self.canonical.pack_gates(self._counts.up),
-                        "down": self.canonical.pack_gates(self._counts.down),
-                    },
-                )
+            self._counts = self.cached("counts", self._count_paths)[0]
         return self._counts
 
     @property
@@ -282,47 +247,6 @@ class CircuitSession:
         return cached
 
     # -- classification ------------------------------------------------
-    def _classify_variant(
-        self, criterion: Criterion, sort: "InputSort | None"
-    ) -> str:
-        sort_key = "none" if sort is None else self.canonical.sort_key(sort.ranks)
-        return f"{criterion.name}|{sort_key}"
-
-    def _load_classification(
-        self,
-        payload: dict,
-        criterion: Criterion,
-        collect_lead_counts: bool,
-        max_accepted: "int | None",
-    ) -> "ClassificationResult | None":
-        total = payload["total_logical"]
-        accepted = payload["accepted"]
-        if not isinstance(total, int) or not isinstance(accepted, int):
-            return None
-        if max_accepted is not None and accepted > max_accepted:
-            # the cached pass completed but this caller's budget would
-            # have aborted it — recompute so the abort contract holds
-            return None
-        lead_counts: list = []
-        if collect_lead_counts:
-            stored = payload.get("lead_ctrl_counts")
-            if (
-                not isinstance(stored, list)
-                or len(stored) != self.circuit.num_leads
-                or not all(isinstance(v, int) for v in stored)
-            ):
-                return None  # entry predates the per-lead request
-            lead_counts = self.canonical.unpack_leads(stored)
-        return ClassificationResult(
-            circuit_name=self.circuit.name,
-            criterion=criterion,
-            total_logical=total,
-            accepted=accepted,
-            elapsed=float(payload["elapsed"]),
-            lead_ctrl_counts=lead_counts,
-            edges_visited=int(payload["edges_visited"]),
-        )
-
     def classify(
         self,
         criterion: Criterion,
@@ -379,89 +303,53 @@ class CircuitSession:
                 session_stats=self.stats,
             ).result
         self.stats.bump("classify_passes")
-        use_store = self.store is not None and on_path is None
-        variant = ""
-        if use_store:
-            variant = self._classify_variant(criterion, sort)
-            cached = self._store_get(
-                "classify",
-                variant,
-                lambda payload: self._load_classification(
-                    payload, criterion, collect_lead_counts, max_accepted
-                ),
-            )
-            if cached is not None:
-                return cached
-        tables = self.tables(criterion, sort)
-        try:
-            with span(
-                "classify.pass",
-                circuit=self.circuit.name,
-                criterion=criterion.name,
-            ):
-                result = _run(
-                    self.circuit,
-                    criterion,
-                    tables,
-                    self.counts,
-                    collect_lead_counts,
-                    max_accepted,
-                    on_path,
-                )
-        except ClassifyError:
-            self.stats.bump("budget_aborts")
-            raise
-        registry = get_registry()
-        registry.counter("engine.edges_visited").inc(result.edges_visited)
-        registry.counter("classify.accepted").inc(result.accepted)
-        if use_store:
-            payload = {
-                "total_logical": result.total_logical,
-                "accepted": result.accepted,
-                "elapsed": result.elapsed,
-                "edges_visited": result.edges_visited,
-            }
-            if collect_lead_counts:
-                payload["lead_ctrl_counts"] = self.canonical.pack_leads(
-                    result.lead_ctrl_counts
-                )
-            self._store_put("classify", variant, payload)
-        return result
+
+        def run() -> ClassificationResult:
+            tables = self.tables(criterion, sort)
+            try:
+                with span(
+                    "classify.pass",
+                    circuit=self.circuit.name,
+                    criterion=criterion.name,
+                ):
+                    result = _run(
+                        self.circuit,
+                        criterion,
+                        tables,
+                        self.counts,
+                        collect_lead_counts,
+                        max_accepted,
+                        on_path,
+                    )
+            except ClassifyError:
+                self.stats.bump("budget_aborts")
+                raise
+            registry = get_registry()
+            registry.counter("engine.edges_visited").inc(result.edges_visited)
+            registry.counter("classify.accepted").inc(result.accepted)
+            return result
+
+        if on_path is not None:  # the streamed paths are not cached
+            return run()
+        return self.cached(
+            "classify",
+            run,
+            criterion=criterion,
+            sort=sort,
+            lead_counts=collect_lead_counts,
+            max_accepted=max_accepted,
+        )[0]
 
     # -- sorting heuristics (convenience, session-cached) --------------
-    def _load_sort(self, payload: dict) -> "InputSort | None":
-        from repro.sorting.input_sort import InputSort
-
-        stored = payload["ranks"]
-        if (
-            not isinstance(stored, list)
-            or len(stored) != self.circuit.num_leads
-            or not all(isinstance(v, int) for v in stored)
-        ):
-            return None
-        # InputSort validates per-gate rank permutations; a corrupt
-        # entry raises ValueError, which _store_get turns into a miss
-        return InputSort(self.circuit, self.canonical.unpack_leads(stored))
-
-    def record_sort(self, name: str, sort: "InputSort") -> None:
-        """Write a derived heuristic sort back to the persistent store
-        (no-op without one)."""
-        if self.store is not None:
-            self._store_put(
-                "sort", name, {"ranks": self.canonical.pack_leads(sort.ranks)}
-            )
-
     def heuristic1_sort(self) -> "InputSort":
         """Heuristic 1 from the cached path counts (no extra counting)."""
         from repro.sorting.heuristics import heuristic1_sort
 
-        if self.store is not None:
-            cached = self._store_get("sort", "heu1", self._load_sort)
-            if cached is not None:
-                return cached
-        sort = heuristic1_sort(self.circuit, counts=self.counts)
-        self.record_sort("heu1", sort)
-        return sort
+        return self.cached(
+            "sort",
+            lambda: heuristic1_sort(self.circuit, counts=self.counts),
+            name="heu1",
+        )[0]
 
     def heuristic2_analysis(
         self, max_accepted: int | None = None
@@ -474,8 +362,11 @@ class CircuitSession:
         )
 
     def heuristic2_sort(self, max_accepted: int | None = None) -> "InputSort":
-        if self.store is not None:
-            cached = self._store_get("sort", "heu2", self._load_sort)
-            if cached is not None:
-                return cached
-        return self.heuristic2_analysis(max_accepted=max_accepted).sort
+        """Heuristic 2, read through the store.  A stored sort carries no
+        budget, so a budgeted call runs Algorithm 3, whose FS/NR passes
+        enforce ``max_accepted`` exactly as a cold run would."""
+        if max_accepted is not None:
+            return self.heuristic2_analysis(max_accepted=max_accepted).sort
+        return self.cached(
+            "sort", lambda: self.heuristic2_analysis().sort, name="heu2"
+        )[0]

@@ -73,16 +73,6 @@ from repro.store.db import ResultStore
 from repro.util.timer import Stopwatch
 
 
-def _store_spec(store: "ResultStore | str | None") -> "str | None":
-    """Normalize a ``store=`` argument to a picklable path (pool tasks
-    carry the path; every worker opens its own connection)."""
-    if store is None:
-        return None
-    if isinstance(store, ResultStore):
-        return store.path
-    return str(store)
-
-
 def _make_runner(
     runner: "TaskRunner | None", jobs: int, max_retries: int
 ) -> TaskRunner:
@@ -202,7 +192,7 @@ def run_table1_row(
 
 
 def _table1_task(
-    payload: "tuple[Circuit, int | None, str | None]",
+    payload: "tuple[Circuit, int | None, ResultStore | str | None]",
 ) -> Table1Row:
     """Top-level worker (must be picklable for the process pool)."""
     circuit, max_accepted, store = payload
@@ -289,11 +279,10 @@ def run_table1_rows(
     option — checkpoints record finished *rows*, the store caches the
     *passes* inside a row, so a resumed run recomputes nothing at all.
     """
-    spec = _store_spec(store)
     return _run_checkpointed_rows(
         list(circuits),
         _table1_task,
-        lambda circuit: (circuit, max_accepted, spec),
+        lambda circuit: (circuit, max_accepted, store),
         Table1Row,
         "table1",
         jobs,
@@ -363,7 +352,9 @@ def run_table3_row(
     )
 
 
-def _table3_task(payload: "tuple[Circuit, str, str | None]") -> Table3Row:
+def _table3_task(
+    payload: "tuple[Circuit, str, ResultStore | str | None]",
+) -> Table3Row:
     circuit, baseline_method, store = payload
     return run_table3_row(circuit, baseline_method=baseline_method, store=store)
 
@@ -386,11 +377,10 @@ def run_table3_rows(
     exactly as in :func:`run_table1_rows` (checkpoint kind ``table3``;
     the store accelerates the Heu2 passes, never the exact baseline).
     """
-    spec = _store_spec(store)
     return _run_checkpointed_rows(
         list(circuits),
         _table3_task,
-        lambda circuit: (circuit, baseline_method, spec),
+        lambda circuit: (circuit, baseline_method, store),
         Table3Row,
         "table3",
         jobs,

@@ -7,15 +7,12 @@ every PI→PO path lies in exactly one cone, so accepted/total counts sum
 exactly), and each cone's result is read through from — and written
 back to — the schema-v2 cone table of a persistent
 :class:`~repro.store.db.ResultStore`, keyed by
-``(cone fingerprint, criterion, sort, max_accepted)``.
-
-The same never-wrong contracts as the whole-circuit store apply:
-
-* a corrupted or malformed cone row is a miss (recomputed, never served);
-* a cached row whose ``accepted`` exceeds the caller's ``max_accepted``
-  is recomputed so the abort contract is identical cold and warm;
-* an aborted pass is never written back — a budget abort raises
-  :class:`~repro.errors.ClassifyError` exactly as a cold run would.
+``(cone fingerprint, criterion, sort, max_accepted)`` (kind ``"cone"``
+of :data:`repro.store.kinds.KINDS`, with the never-wrong contract of
+every kind).  Workers return results; the caller writes them back
+through its own store handle, and an aborted pass is never written —
+a budget abort raises :class:`~repro.errors.ClassifyError` exactly as a
+cold run would.
 
 :func:`reanalyze` composes this with the structural diff into the ECO
 flow behind ``repro-rd reanalyze BASE EDITED --store ...``: after the
@@ -50,6 +47,7 @@ from repro.incremental.conefp import Cone, cone_index
 from repro.incremental.diff import CircuitDiff, diff_circuits
 from repro.obs import get_registry
 from repro.store.db import ResultStore, as_store
+from repro.store.kinds import KINDS
 from repro.util.serialize import to_json
 
 if TYPE_CHECKING:
@@ -69,34 +67,6 @@ __all__ = [
 #: derived *on each cone* (deterministic given the cone's structure, so
 #: safe to key store rows by name)
 _SYMBOLIC_SORTS = (None, "pin", "heu1", "heu2")
-
-
-def _budget_label(max_accepted: "Optional[int]") -> str:
-    return "-" if max_accepted is None else str(int(max_accepted))
-
-
-def _load_cone_payload(
-    payload: "Optional[dict]", max_accepted: "Optional[int]"
-) -> "Optional[tuple[int, int, int, float]]":
-    """Strictly validate one cone row; anything malformed is a miss."""
-    if payload is None:
-        return None
-    try:
-        total = payload["total_logical"]
-        accepted = payload["accepted"]
-        edges = payload["edges_visited"]
-        elapsed = float(payload["elapsed"])
-    except (KeyError, TypeError, ValueError):
-        return None
-    if not all(isinstance(v, int) for v in (total, accepted, edges)):
-        return None
-    if total < 0 or accepted < 0 or accepted > total or edges < 0:
-        return None
-    if max_accepted is not None and accepted > max_accepted:
-        # the cached pass completed but this caller's budget would have
-        # aborted it — recompute so the abort contract holds
-        return None
-    return total, accepted, edges, elapsed
 
 
 @dataclass(frozen=True)
@@ -263,26 +233,15 @@ def _cone_sort_plans(
 def _dirty_cone_task(payload: tuple) -> tuple:
     """Classify one dirty cone (module-level: pool tasks must pickle).
 
-    Returns ``("ok", total, accepted, edges, elapsed)`` or
+    Returns ``("ok", (total, accepted, edges, elapsed))`` or
     ``("budget_abort", message)`` — budget aborts are *results* here so
     the parent can re-raise :class:`ClassifyError` deterministically
-    instead of treating them as worker crashes.  A completed result is
-    written back to the cone table before returning; an aborted pass
-    never is.
+    instead of treating them as worker crashes.  The parent writes
+    completed results back through its own store handle.
     """
     from repro.classify.session import CircuitSession
 
-    (
-        circuit,
-        po,
-        criterion,
-        sort_spec,
-        ranks,
-        max_accepted,
-        store_spec,
-        variant,
-        cone_fp,
-    ) = payload
+    circuit, po, criterion, sort_spec, ranks, max_accepted = payload
     cone_circuit, _mapping = circuit.extract_cone(po)
     session = CircuitSession(cone_circuit)
     sort = None
@@ -298,24 +257,8 @@ def _dirty_cone_task(payload: tuple) -> tuple:
         result = session.classify(criterion, sort=sort, max_accepted=max_accepted)
     except ClassifyError as exc:
         return ("budget_abort", str(exc))
-    if store_spec is not None:
-        ResultStore(store_spec).cone_put(
-            cone_fp,
-            variant,
-            {
-                "total_logical": result.total_logical,
-                "accepted": result.accepted,
-                "edges_visited": result.edges_visited,
-                "elapsed": result.elapsed,
-            },
-        )
-    return (
-        "ok",
-        result.total_logical,
-        result.accepted,
-        result.edges_visited,
-        result.elapsed,
-    )
+    return ("ok", (result.total_logical, result.accepted,
+                   result.edges_visited, result.elapsed))
 
 
 def cone_classify(
@@ -348,53 +291,40 @@ def cone_classify(
     registry = get_registry()
     index = cone_index(circuit)
     plans = _cone_sort_plans(circuit, index.cones, sort)
-    budget = _budget_label(max_accepted)
+    keys = [
+        (
+            cone.fingerprint,
+            KINDS["cone"].variant(
+                None,
+                criterion=criterion,
+                sort_label=plans[cone.po][0],
+                max_accepted=max_accepted,
+            ),
+        )
+        for cone in index.cones
+    ]
+    loaded = [None] * len(keys)
+    if store is not None:
+        loaded = store.lookup("cone", keys, max_accepted=max_accepted)
     rows: "dict[int, ConeRow]" = {}
-    dirty: "list[tuple[Cone, str]]" = []
-    for cone in index.cones:
-        sort_label, _ranks = plans[cone.po]
-        variant = f"{criterion.name}|{sort_label}|{budget}"
-        loaded = None
-        if store is not None:
-            loaded = _load_cone_payload(
-                store.cone_get(cone.fingerprint, variant), max_accepted
-            )
-        if loaded is not None:
-            total, accepted, edges, elapsed = loaded
+    dirty: "list[tuple[Cone, tuple]]" = []
+    for cone, key, value in zip(index.cones, keys, loaded):
+        if value is not None:
             registry.counter("incremental.cones_clean").inc()
             registry.counter("incremental.cone_store_hits").inc()
             if session_stats is not None:
                 session_stats.bump("cone_hits")
-            rows[cone.po] = ConeRow(
-                output=cone.output,
-                fingerprint=cone.fingerprint,
-                total_logical=total,
-                accepted=accepted,
-                edges_visited=edges,
-                elapsed=elapsed,
-                source="store",
-            )
+            rows[cone.po] = ConeRow(cone.output, cone.fingerprint, *value, "store")
         else:
             registry.counter("incremental.cones_dirty").inc()
             if store is not None and session_stats is not None:
                 session_stats.bump("cone_misses")
-            dirty.append((cone, variant))
+            dirty.append((cone, key))
     if dirty:
-        store_spec = None if store is None else store.path
         sort_spec = sort if sort in _SYMBOLIC_SORTS else None
         work = [
-            (
-                circuit,
-                cone.po,
-                criterion,
-                sort_spec,
-                plans[cone.po][1],
-                max_accepted,
-                store_spec,
-                variant,
-                cone.fingerprint,
-            )
-            for cone, variant in dirty
+            (circuit, cone.po, criterion, sort_spec, plans[cone.po][1], max_accepted)
+            for cone, _key in dirty
         ]
         task_runner = runner if runner is not None else TaskRunner(jobs=jobs)
         parts = task_runner.map(
@@ -402,23 +332,25 @@ def cone_classify(
             work,
             labels=[f"{circuit.name}/cone[{cone.output}]" for cone, _ in dirty],
         )
+        computed = []
+        aborts = []
         failures = []
-        for (cone, _variant), part in zip(dirty, parts):
+        for (cone, key), part in zip(dirty, parts):
             if isinstance(part, RowFailure):
                 failures.append(part)
-                continue
-            if part[0] == "budget_abort":
-                raise ClassifyError(part[1])
-            _tag, total, accepted, edges, elapsed = part
-            rows[cone.po] = ConeRow(
-                output=cone.output,
-                fingerprint=cone.fingerprint,
-                total_logical=total,
-                accepted=accepted,
-                edges_visited=edges,
-                elapsed=elapsed,
-                source="computed",
-            )
+            elif part[0] == "budget_abort":
+                aborts.append(part[1])
+            else:
+                rows[cone.po] = ConeRow(
+                    cone.output, cone.fingerprint, *part[1], "computed"
+                )
+                computed.append((key, part[1]))
+        # completed cones are written back even when another cone
+        # aborted; an aborted cone never is
+        if store is not None:
+            store.save("cone", computed)
+        if aborts:
+            raise ClassifyError(aborts[0])
         if failures:
             raise HarnessError(
                 "cone classification failed: "

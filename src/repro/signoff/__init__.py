@@ -27,7 +27,6 @@ from repro.signoff.query import (
     row_from_path,
     signoff,
     signoff_core,
-    signoff_variant,
 )
 from repro.signoff.remote import signoff_remote
 from repro.signoff.report import (
@@ -50,5 +49,4 @@ __all__ = [
     "signoff",
     "signoff_core",
     "signoff_remote",
-    "signoff_variant",
 ]

@@ -16,9 +16,8 @@ The layered filter (fast to exact):
    Because this final stage runs in *all* modes, the row set is
    mode-independent: ``exact`` can only shift work between stages.
 
-Store contract: kind ``"signoff"`` under the queried (domain) circuit's
-``rdfp1:`` fingerprint; the variant carries the schema, the canonical
-delay digest (``rdly1:``), and the query (``k=``/``slack=``).  Cached
+Store contract: kind ``"signoff"`` of :data:`repro.store.kinds.KINDS`,
+under the queried (domain) circuit's ``rdfp1:`` fingerprint.  Cached
 rows are canonical lead positions — name-free, so isomorphic renames
 stay safe — and every loaded row is structurally revalidated and its
 delay recomputed before being served.
@@ -37,16 +36,14 @@ from repro.delaytest.testability import robust_test
 from repro.errors import SignoffError
 from repro.experiments.supervisor import RowFailure, TaskRunner
 from repro.obs import get_registry, span
-from repro.paths.path import LogicalPath, PhysicalPath
+from repro.paths.path import LogicalPath
 from repro.sorting.input_sort import InputSort
 from repro.timing.annotate import delays_digest, materialize_delays
 from repro.timing.delays import DelayAssignment
 from repro.timing.kpaths import iter_paths_by_delay
-from repro.timing.pathdelay import logical_path_delay
 from repro.verdict.oracle import DEFAULT_MAX_CONFLICTS, VerdictOracle
 
 from repro.signoff.report import (
-    SIGNOFF_SCHEMA,
     SignoffReport,
     SignoffRow,
     merge_rows,
@@ -91,83 +88,6 @@ def row_from_path(
     )
 
 
-# -- store plumbing -----------------------------------------------------
-def signoff_variant(
-    session: CircuitSession,
-    delays: DelayAssignment,
-    k: "int | None",
-    slack: "float | None",
-) -> str:
-    digest = delays_digest(delays, canonical=session.canonical)
-    query = f"k={k}" if k is not None else f"slack={slack!r}"
-    return f"{SIGNOFF_SCHEMA}|{digest}|{query}"
-
-
-def _load_signoff_payload(
-    payload: dict,
-    session: CircuitSession,
-    delays: DelayAssignment,
-    slack: "float | None",
-):
-    """Strict never-wrong validation of a cached accepted-path set.
-
-    Rows come back as ``(delay, LogicalPath)`` with delays *recomputed*
-    from the live assignment (same left-to-right float accumulation as
-    the enumerator, so values are bit-equal to a fresh run); any
-    structural defect makes the whole entry a miss.
-    """
-    if payload.get("schema") != SIGNOFF_SCHEMA:
-        return None
-    raw = payload.get("rows")
-    if not isinstance(raw, list):
-        return None
-    circuit = session.circuit
-    lead_order = session.canonical.lead_order
-    out = []
-    seen = set()
-    for entry in raw:
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-            return None
-        final_value, positions = entry
-        if final_value not in (0, 1) or not isinstance(positions, list):
-            return None
-        if not all(
-            isinstance(p, int) and 0 <= p < len(lead_order)
-            for p in positions
-        ):
-            return None
-        leads = tuple(lead_order[p] for p in positions)
-        if not leads:
-            return None
-        lp = LogicalPath(PhysicalPath(leads), final_value)
-        lp.path.validate(circuit)  # PI→PO connectivity, raises on defect
-        key = (leads, final_value)
-        if key in seen:
-            return None
-        seen.add(key)
-        delay = logical_path_delay(circuit, lp, delays)
-        if slack is not None and delay < slack:
-            return None
-        out.append((delay, lp))
-    return out
-
-
-def _accepted_payload(session: CircuitSession, accepted) -> dict:
-    """Serialize the accepted set as canonical lead positions, sorted —
-    a pure function of the circuit's canonical form."""
-    position_of = {
-        lead: pos for pos, lead in enumerate(session.canonical.lead_order)
-    }
-    rows = sorted(
-        (lp.final_value, [position_of[lead] for lead in lp.path.leads])
-        for _delay, lp in accepted
-    )
-    return {
-        "schema": SIGNOFF_SCHEMA,
-        "rows": [[fv, positions] for fv, positions in rows],
-    }
-
-
 # -- the per-domain query ----------------------------------------------
 def signoff_core(
     circuit,
@@ -202,18 +122,29 @@ def signoff_core(
         raise ValueError("delay assignment belongs to a different circuit")
     if session is None:
         session = CircuitSession(circuit, store=store)
-    registry = get_registry()
-    variant = signoff_variant(session, delays, k, slack)
-    cached = session._store_get(  # noqa: SLF001 - session store plumbing
-        "signoff",
-        variant,
-        lambda payload: _load_signoff_payload(payload, session, delays, slack),
-    )
-    if cached is not None:
-        registry.counter("signoff.row_store_hits").inc()
-        return _finish(circuit, cached, k), _zero_counters(), "store"
-
     counters = _zero_counters()
+    accepted, source = session.cached(
+        "signoff",
+        lambda: _accepted_paths(circuit, delays, k, slack, exact, session,
+                                counters, max_candidates, max_states,
+                                max_conflicts),
+        delays=delays,
+        k=k,
+        slack=slack,
+    )
+    registry = get_registry()
+    if source == "store":
+        registry.counter("signoff.row_store_hits").inc()
+    for name in _STAGE_COUNTERS:
+        registry.counter(f"signoff.{name}").inc(counters[name])
+    return _finish(circuit, accepted, k), counters, source
+
+
+def _accepted_paths(circuit, delays, k, slack, exact, session, counters,
+                    max_candidates, max_states, max_conflicts) -> list:
+    """The layered filter: ``[(delay, LogicalPath)]`` robustly testable
+    paths, slowest first up to the K tie boundary or the slack, with
+    each stage's work tallied in ``counters``."""
     with span("signoff.domain", circuit=circuit.name):
         sort = InputSort.pin_order(circuit)
         tables = session.tables(Criterion.SIGMA_PI, sort)
@@ -253,12 +184,7 @@ def signoff_core(
             accepted.append((delay, lp))
             if k is not None and boundary is None and len(accepted) == k:
                 boundary = delay  # keep consuming delay ties
-    for name in _STAGE_COUNTERS:
-        registry.counter(f"signoff.{name}").inc(counters[name])
-    session._store_put(  # noqa: SLF001 - session store plumbing
-        "signoff", variant, _accepted_payload(session, accepted)
-    )
-    return _finish(circuit, accepted, k), counters, "computed"
+    return accepted
 
 
 def _resolve_query(
@@ -441,5 +367,4 @@ __all__ = [
     "row_from_path",
     "signoff",
     "signoff_core",
-    "signoff_variant",
 ]

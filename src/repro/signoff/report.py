@@ -14,11 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.store.kinds import SIGNOFF_SCHEMA
 from repro.util.serialize import to_json
 from repro.util.tables import TextTable
-
-#: Store/wire schema for signoff rows (bumped on layout changes).
-SIGNOFF_SCHEMA = 1
 
 
 @dataclass(frozen=True)

@@ -98,7 +98,6 @@ def heuristic2_analysis(
         for fs, t in zip(fs_result.lead_ctrl_counts, nr_result.lead_ctrl_counts)
     ]
     sort = InputSort.from_key(circuit, lambda lead: measure[lead])
-    session.record_sort("heu2", sort)  # no-op without a persistent store
     return Heuristic2Analysis(sort=sort, fs_result=fs_result, nr_result=nr_result)
 
 

@@ -1,19 +1,18 @@
 """The SQLite-backed, content-addressed result store.
 
 One :class:`ResultStore` is a single-file database mapping
-``(fingerprint, kind, variant)`` to a JSON payload:
+``(fingerprint, kind, variant)`` to a JSON payload.  The kinds — path
+counts, classification passes, heuristic sorts, tightness rows, signoff
+sets and ECO cone rows — are declared in
+:data:`repro.store.kinds.KINDS`, which names each kind's table, variant
+key, required fields, budget field and payload schema.  Whole-circuit
+kinds share the ``entries`` table keyed by the ``rdfp1:`` circuit
+fingerprint; cone rows live in ``cone_entries`` keyed by the
+``rdcfp1:`` cone fingerprint.
 
-=============  =============================================  ============
-kind           variant                                        payload
-=============  =============================================  ============
-``counts``     ``""``                                         ``up``/``down`` DP arrays, canonical gate order
-``classify``   ``<CRITERION>|<sort key>``                     accepted/total/edges + optional per-lead counts
-``sort``       ``heu1`` / ``heu2``                            rank array, canonical lead order
-``tightness``  ``<schema>|<CRITERION>|<sort>|<budget>``       exact-vs-approximate verdict counts per circuit
-``signoff``    ``<schema>|<delay digest>|k=N`` / ``slack=T``  accepted robust-path set as canonical lead positions
-=============  =============================================  ============
-
-Every row is stamped with :data:`~repro.store.fingerprint.SCHEMA_VERSION`;
+Every row is stamped with its table's schema version
+(:data:`~repro.store.fingerprint.SCHEMA_VERSION`, or
+:data:`~repro.store.fingerprint.CONE_SCHEMA_VERSION` for cone rows);
 reads only ever see rows of the *current* schema, so a payload-format or
 fingerprint-algorithm change can never serve stale data — old rows just
 stop being visible until ``gc`` reclaims them.
@@ -23,9 +22,9 @@ Concurrency: the database runs in WAL mode with a busy timeout, so the
 analysis service can all read and write one store file concurrently.
 Connections are opened lazily *per process* (the store object pickles as
 its path, and a fork is detected by PID), every statement is retried on
-``database is locked``/``busy``, and a corrupted or undecodable payload
-is deleted and reported as a miss — a store can make a run faster, never
-wrong, and never dead.
+``database is locked``/``busy``, and a payload that does not decode or
+fails its kind's validation is deleted and reported as a miss — a store
+can make a run faster, never wrong, and never dead.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from pathlib import Path
 from repro.errors import StoreError
 from repro.obs import get_registry
 from repro.store.fingerprint import CONE_SCHEMA_VERSION, SCHEMA_VERSION
+from repro.store.kinds import KINDS
 
 __all__ = ["STORE_FORMAT_VERSION", "ResultStore", "StoreStats"]
 
@@ -52,36 +52,50 @@ __all__ = ["STORE_FORMAT_VERSION", "ResultStore", "StoreStats"]
 #: ``clear``-ed, which upgrades it.
 STORE_FORMAT_VERSION = 2
 
-_SCHEMA_SQL = """
-CREATE TABLE IF NOT EXISTS entries (
-    fingerprint TEXT NOT NULL,
-    kind        TEXT NOT NULL,
-    variant     TEXT NOT NULL,
-    schema      INTEGER NOT NULL,
-    payload     TEXT NOT NULL,
-    created     REAL NOT NULL,
-    last_used   REAL NOT NULL,
-    hits        INTEGER NOT NULL DEFAULT 0,
-    PRIMARY KEY (fingerprint, kind, variant, schema)
-)
-"""
 
-#: Cone-granularity results (schema v2): keyed by the *cone* fingerprint
-#: (``rdcfp1:``) plus the classification variant — criterion, sort and
-#: acceptance budget — so an edited netlist reuses every untouched
-#: cone's rows.
-_CONE_SCHEMA_SQL = """
-CREATE TABLE IF NOT EXISTS cone_entries (
-    cone_fp     TEXT NOT NULL,
-    variant     TEXT NOT NULL,
-    schema      INTEGER NOT NULL,
-    payload     TEXT NOT NULL,
-    created     REAL NOT NULL,
-    last_used   REAL NOT NULL,
-    hits        INTEGER NOT NULL DEFAULT 0,
-    PRIMARY KEY (cone_fp, variant, schema)
-)
-"""
+@dataclass(frozen=True)
+class _Table:
+    """One SQLite table of rows: its key columns (variant last), the
+    schema version its live rows carry, and its metric-name prefix."""
+
+    name: str
+    keys: "tuple[str, ...]"
+    schema: int
+    metric: str
+
+    @property
+    def where(self) -> str:
+        return " AND ".join(f"{key}=?" for key in self.keys)
+
+    def key(self, fingerprint: str, kind: str, variant: str) -> tuple:
+        if "kind" in self.keys:
+            return (fingerprint, kind, variant)
+        return (fingerprint, variant)
+
+    @property
+    def create_sql(self) -> str:
+        columns = "".join(f"{key} TEXT NOT NULL, " for key in self.keys)
+        return (
+            f"CREATE TABLE IF NOT EXISTS {self.name} ({columns}"
+            "schema INTEGER NOT NULL, payload TEXT NOT NULL, "
+            "created REAL NOT NULL, last_used REAL NOT NULL, "
+            "hits INTEGER NOT NULL DEFAULT 0, "
+            f"PRIMARY KEY ({', '.join(self.keys)}, schema))"
+        )
+
+
+#: Whole-circuit rows keyed by the ``rdfp1:`` fingerprint, and (schema
+#: v2) cone rows keyed by the ``rdcfp1:`` cone fingerprint, so an edited
+#: netlist reuses every untouched cone's rows.
+_TABLES = {
+    table.name: table
+    for table in (
+        _Table("entries", ("fingerprint", "kind", "variant"), SCHEMA_VERSION,
+               "store."),
+        _Table("cone_entries", ("cone_fp", "variant"), CONE_SCHEMA_VERSION,
+               "store.cone_"),
+    )
+}
 
 #: bounded retry for statements that hit a held write lock even after
 #: SQLite's own busy timeout
@@ -92,6 +106,19 @@ _LOCK_SLEEP = 0.05
 def _is_locked(exc: sqlite3.OperationalError) -> bool:
     text = str(exc).lower()
     return "locked" in text or "busy" in text
+
+
+def _retry_locked(run):
+    """``run()``, retried (bounded, with backoff) while the database is
+    locked or busy; any other error, or the last attempt's, propagates."""
+    for attempt in range(_LOCK_RETRIES):
+        try:
+            return run()
+        except sqlite3.OperationalError as exc:
+            if not _is_locked(exc) or attempt == _LOCK_RETRIES - 1:
+                raise
+            time.sleep(_LOCK_SLEEP * (attempt + 1))
+    raise AssertionError("unreachable")
 
 
 @dataclass(frozen=True)
@@ -159,7 +186,7 @@ class ResultStore:
         self._local_conn: "sqlite3.Connection | None" = None
         self._pid = -1
         self._lock = threading.Lock()
-        self._cone_ok = False  # set by _connect
+        self._present: "tuple[_Table, ...]" = ()  # set by _connect
 
     # -- connection management -----------------------------------------
     def _connect(self) -> sqlite3.Connection:
@@ -170,7 +197,9 @@ class ResultStore:
                 check_same_thread=False,
                 isolation_level=None,  # autocommit: every statement durable
             )
-            conn.execute("PRAGMA journal_mode=WAL")
+            # this pragma can fail at once, without waiting out the busy
+            # timeout, while another process is opening the same file
+            _retry_locked(lambda: conn.execute("PRAGMA journal_mode=WAL"))
             conn.execute("PRAGMA synchronous=NORMAL")
             # a pre-cone (v1) file keeps working with cone features off;
             # anything newer (or fresh) gets the cone table and the v2 stamp
@@ -186,12 +215,12 @@ class ResultStore:
                 and "cone_entries" not in tables
                 and version < STORE_FORMAT_VERSION
             )
-            conn.execute(_SCHEMA_SQL)
-            if not legacy_v1:
-                conn.execute(_CONE_SCHEMA_SQL)
-                if version < STORE_FORMAT_VERSION:
-                    conn.execute(f"PRAGMA user_version={STORE_FORMAT_VERSION:d}")
-            self._cone_ok = not legacy_v1
+            present = (_TABLES["entries"],) if legacy_v1 else tuple(_TABLES.values())
+            for table in present:
+                conn.execute(table.create_sql)
+            if not legacy_v1 and version < STORE_FORMAT_VERSION:
+                conn.execute(f"PRAGMA user_version={STORE_FORMAT_VERSION:d}")
+            self._present = present
         except sqlite3.Error as exc:
             raise StoreError(f"cannot open result store {self.path!r}: {exc}")
         return conn
@@ -200,9 +229,14 @@ class ResultStore:
     def supports_cones(self) -> bool:
         """Whether this file has the cone-level table (schema v2).  A v1
         store answers ``False`` and the cone API degrades gracefully:
-        every ``cone_get`` misses, every ``cone_put`` is a no-op."""
-        self._conn  # noqa: B018 - connect (and detect the layout) lazily
-        return self._cone_ok
+        every cone read misses, every cone write is a no-op."""
+        return _TABLES["cone_entries"] in self._tables()
+
+    def _tables(self) -> "tuple[_Table, ...]":
+        """The tables this file has (connects, and detects the layout,
+        lazily)."""
+        self._conn  # noqa: B018
+        return self._present
 
     @property
     def _conn(self) -> sqlite3.Connection:
@@ -231,207 +265,155 @@ class ResultStore:
     def _execute(self, sql: str, params: tuple = ()):
         """One statement with bounded retry on a held write lock."""
         with self._lock:
-            for attempt in range(_LOCK_RETRIES):
-                try:
-                    return self._conn.execute(sql, params)
-                except sqlite3.OperationalError as exc:
-                    if not _is_locked(exc) or attempt == _LOCK_RETRIES - 1:
-                        raise StoreError(
-                            f"result store {self.path!r}: {exc}"
-                        ) from exc
-                    time.sleep(_LOCK_SLEEP * (attempt + 1))
-                except sqlite3.DatabaseError as exc:
-                    raise StoreError(
-                        f"result store {self.path!r}: {exc}"
-                    ) from exc
-        raise AssertionError("unreachable")
+            try:
+                return _retry_locked(lambda: self._conn.execute(sql, params))
+            except sqlite3.DatabaseError as exc:
+                raise StoreError(f"result store {self.path!r}: {exc}") from exc
 
     # -- the content-addressed API -------------------------------------
-    def get(self, fingerprint: str, kind: str, variant: str = "") -> "dict | None":
-        """The payload stored under this key at the current schema
-        version, or ``None``.  An undecodable payload is deleted and
-        reported as a miss (never served, never fatal)."""
+    def get(
+        self, fingerprint: str, kind: str, variant: str = "", decode=None
+    ) -> "dict | None":
+        """The payload under this key at the current schema (or
+        ``decode(payload)``), else ``None``.  A payload that is not a JSON
+        object, or that ``decode`` raises on, is deleted, counted in
+        ``store.corrupt_entries`` and missed; ``decode`` returning
+        ``None`` misses but keeps the row."""
+        table = _TABLES[KINDS[kind].table]
         registry = get_registry()
-        registry.counter("store.gets").inc()
+        registry.counter(f"{table.metric}gets").inc()
         started = time.perf_counter()
-        row = self._execute(
-            "SELECT payload FROM entries WHERE fingerprint=? AND kind=? "
-            "AND variant=? AND schema=?",
-            (fingerprint, kind, variant, SCHEMA_VERSION),
-        ).fetchone()
-        if row is None:
-            registry.counter("store.misses").inc()
-            registry.histogram("store.get_seconds").observe(
-                time.perf_counter() - started
+        key = table.key(fingerprint, kind, variant)
+        row = None
+        if table in self._tables():
+            row = self._execute(
+                f"SELECT payload FROM {table.name} WHERE {table.where} "
+                "AND schema=?",
+                (*key, table.schema),
+            ).fetchone()
+        value = None
+        if row is not None:
+            try:
+                value = json.loads(row[0])
+                if not isinstance(value, dict):
+                    raise ValueError("payload is not an object")
+                if decode is not None:
+                    value = decode(value)
+            except Exception:  # noqa: BLE001 - an invalid row is a miss
+                registry.counter("store.corrupt_entries").inc()
+                self.delete(fingerprint, kind, variant)
+                value = None
+        if value is None:
+            registry.counter(f"{table.metric}misses").inc()
+        else:
+            self._execute(
+                f"UPDATE {table.name} SET hits=hits+1, last_used=? "
+                f"WHERE {table.where} AND schema=?",
+                (time.time(), *key, table.schema),
             )
-            return None
-        try:
-            payload = json.loads(row[0])
-            if not isinstance(payload, dict):
-                raise ValueError("payload is not an object")
-        except (ValueError, TypeError):
-            registry.counter("store.corrupt_entries").inc()
-            registry.counter("store.misses").inc()
-            self.delete(fingerprint, kind, variant)
-            return None
-        self._execute(
-            "UPDATE entries SET hits=hits+1, last_used=? WHERE fingerprint=? "
-            "AND kind=? AND variant=? AND schema=?",
-            (time.time(), fingerprint, kind, variant, SCHEMA_VERSION),
-        )
-        registry.counter("store.hits").inc()
-        registry.histogram("store.get_seconds").observe(
+            registry.counter(f"{table.metric}hits").inc()
+        registry.histogram(f"{table.metric}get_seconds").observe(
             time.perf_counter() - started
         )
-        return payload
+        return value
 
     def put(self, fingerprint: str, kind: str, variant: str, payload: dict) -> None:
-        """Insert or replace one entry (stamped with the current schema)."""
+        """Insert or replace one entry, stamped with its table's current
+        schema (a no-op for cone rows on a v1 store)."""
+        table = _TABLES[KINDS[kind].table]
+        if table not in self._tables():
+            return
         registry = get_registry()
-        registry.counter("store.puts").inc()
+        registry.counter(f"{table.metric}puts").inc()
         started = time.perf_counter()
         now = time.time()
         self._execute(
-            "INSERT OR REPLACE INTO entries "
-            "(fingerprint, kind, variant, schema, payload, created, "
-            "last_used, hits) VALUES (?, ?, ?, ?, ?, ?, ?, 0)",
+            f"INSERT OR REPLACE INTO {table.name} "
+            f"({', '.join(table.keys)}, schema, payload, created, last_used, "
+            f"hits) VALUES ({'?, ' * len(table.keys)}?, ?, ?, ?, 0)",
             (
-                fingerprint,
-                kind,
-                variant,
-                SCHEMA_VERSION,
+                *table.key(fingerprint, kind, variant),
+                table.schema,
                 json.dumps(payload, sort_keys=True, separators=(",", ":")),
                 now,
                 now,
             ),
         )
-        registry.histogram("store.put_seconds").observe(
+        registry.histogram(f"{table.metric}put_seconds").observe(
             time.perf_counter() - started
         )
 
     def delete(self, fingerprint: str, kind: str, variant: str = "") -> None:
-        self._execute(
-            "DELETE FROM entries WHERE fingerprint=? AND kind=? AND variant=?",
-            (fingerprint, kind, variant),
-        )
+        """Drop one key's rows at every schema version."""
+        table = _TABLES[KINDS[kind].table]
+        if table in self._tables():
+            self._execute(
+                f"DELETE FROM {table.name} WHERE {table.where}",
+                table.key(fingerprint, kind, variant),
+            )
+
+    # -- kind-aware batch read-through (see repro.store.kinds) ----------
+    def lookup(self, kind: str, keys, session=None, **request) -> list:
+        """The value served for each ``(fingerprint, variant)`` key, or
+        ``None``, validated by :meth:`~repro.store.kinds.StoreKind.load`."""
+        spec = KINDS[kind]
+        return [
+            self.get(fp, kind, variant, lambda p: spec.load(session, p, request))
+            for fp, variant in keys
+        ]
+
+    def save(self, kind: str, items, session=None, **request) -> None:
+        """Write back ``((fingerprint, variant), value)`` items."""
+        for (fp, variant), value in items:
+            self.put(fp, kind, variant, KINDS[kind].encode(session, value, **request))
 
     # -- the cone-granularity API (schema v2) --------------------------
     def cone_get(self, cone_fp: str, variant: str) -> "dict | None":
-        """The cone-level payload under ``(cone_fp, variant)`` at the
-        current cone schema version, or ``None``.  Same never-wrong
-        contract as :meth:`get`; on a v1 store this is always a miss."""
-        registry = get_registry()
-        registry.counter("store.cone_gets").inc()
-        if not self.supports_cones:
-            registry.counter("store.cone_misses").inc()
-            return None
-        row = self._execute(
-            "SELECT payload FROM cone_entries WHERE cone_fp=? AND variant=? "
-            "AND schema=?",
-            (cone_fp, variant, CONE_SCHEMA_VERSION),
-        ).fetchone()
-        if row is None:
-            registry.counter("store.cone_misses").inc()
-            return None
-        try:
-            payload = json.loads(row[0])
-            if not isinstance(payload, dict):
-                raise ValueError("payload is not an object")
-        except (ValueError, TypeError):
-            registry.counter("store.corrupt_entries").inc()
-            registry.counter("store.cone_misses").inc()
-            self.cone_delete(cone_fp, variant)
-            return None
-        self._execute(
-            "UPDATE cone_entries SET hits=hits+1, last_used=? WHERE cone_fp=? "
-            "AND variant=? AND schema=?",
-            (time.time(), cone_fp, variant, CONE_SCHEMA_VERSION),
-        )
-        registry.counter("store.cone_hits").inc()
-        return payload
+        return self.get(cone_fp, "cone", variant)
 
     def cone_put(self, cone_fp: str, variant: str, payload: dict) -> None:
-        """Insert or replace one cone-level entry (no-op on a v1 store)."""
-        if not self.supports_cones:
-            return
-        get_registry().counter("store.cone_puts").inc()
-        now = time.time()
-        self._execute(
-            "INSERT OR REPLACE INTO cone_entries "
-            "(cone_fp, variant, schema, payload, created, last_used, hits) "
-            "VALUES (?, ?, ?, ?, ?, ?, 0)",
-            (
-                cone_fp,
-                variant,
-                CONE_SCHEMA_VERSION,
-                json.dumps(payload, sort_keys=True, separators=(",", ":")),
-                now,
-                now,
-            ),
-        )
+        self.put(cone_fp, "cone", variant, payload)
 
     def cone_delete(self, cone_fp: str, variant: str) -> None:
-        if not self.supports_cones:
-            return
-        self._execute(
-            "DELETE FROM cone_entries WHERE cone_fp=? AND variant=?",
-            (cone_fp, variant),
-        )
+        self.delete(cone_fp, "cone", variant)
 
     # -- maintenance (the ``repro-rd cache`` subcommand) ----------------
     def stats(self) -> StoreStats:
-        by_kind: "dict[str, int]" = {}
-        for kind, count in self._execute(
-            "SELECT kind, COUNT(*) FROM entries WHERE schema=? GROUP BY kind",
-            (SCHEMA_VERSION,),
-        ).fetchall():
-            by_kind[kind] = count
-        stale = self._execute(
-            "SELECT COUNT(*) FROM entries WHERE schema != ?", (SCHEMA_VERSION,)
-        ).fetchone()[0]
-        hits = self._execute(
-            "SELECT COALESCE(SUM(hits), 0) FROM entries WHERE schema=?",
-            (SCHEMA_VERSION,),
-        ).fetchone()[0]
-        whole_bytes = self._execute(
-            "SELECT COALESCE(SUM(LENGTH(payload)), 0) FROM entries WHERE schema=?",
-            (SCHEMA_VERSION,),
-        ).fetchone()[0]
-        cone_entries = cone_stale = cone_hits = cone_bytes = 0
-        if self.supports_cones:
-            cone_entries = self._execute(
-                "SELECT COUNT(*) FROM cone_entries WHERE schema=?",
-                (CONE_SCHEMA_VERSION,),
-            ).fetchone()[0]
-            cone_stale = self._execute(
-                "SELECT COUNT(*) FROM cone_entries WHERE schema != ?",
-                (CONE_SCHEMA_VERSION,),
-            ).fetchone()[0]
-            cone_hits = self._execute(
-                "SELECT COALESCE(SUM(hits), 0) FROM cone_entries WHERE schema=?",
-                (CONE_SCHEMA_VERSION,),
-            ).fetchone()[0]
-            cone_bytes = self._execute(
-                "SELECT COALESCE(SUM(LENGTH(payload)), 0) FROM cone_entries "
-                "WHERE schema=?",
-                (CONE_SCHEMA_VERSION,),
-            ).fetchone()[0]
+        by_kind = dict(
+            self._execute(
+                "SELECT kind, COUNT(*) FROM entries WHERE schema=? GROUP BY kind",
+                (SCHEMA_VERSION,),
+            ).fetchall()
+        )
+        # per table: (live rows, stale rows, hits, live payload bytes)
+        sums = {
+            table.name: self._execute(
+                "SELECT COALESCE(SUM(schema=?), 0), COALESCE(SUM(schema!=?), 0), "
+                "COALESCE(SUM(CASE WHEN schema=? THEN hits END), 0), "
+                "COALESCE(SUM(CASE WHEN schema=? THEN LENGTH(payload) END), 0) "
+                f"FROM {table.name}",
+                (table.schema,) * 4,
+            ).fetchone()
+            for table in self._tables()
+        }
+        whole = sums["entries"]
+        cone = sums.get("cone_entries", (0, 0, 0, 0))
         try:
             size = os.path.getsize(self.path)
         except OSError:
             size = 0
         return StoreStats(
             path=self.path,
-            entries=sum(by_kind.values()),
+            entries=whole[0],
             by_kind=by_kind,
-            stale_entries=stale,
-            total_hits=hits,
+            stale_entries=whole[1],
+            total_hits=whole[2],
             size_bytes=size,
-            whole_payload_bytes=whole_bytes,
-            cone_entries=cone_entries,
-            cone_stale=cone_stale,
-            cone_hits=cone_hits,
-            cone_payload_bytes=cone_bytes,
+            whole_payload_bytes=whole[3],
+            cone_entries=cone[0],
+            cone_stale=cone[1],
+            cone_hits=cone[2],
+            cone_payload_bytes=cone[3],
             supports_cones=self.supports_cones,
         )
 
@@ -439,23 +421,16 @@ class ResultStore:
         """Reclaim stale rows: every other-schema entry (in both tables),
         plus (when ``max_age_days`` is given) entries not used for that
         long.  Returns the number of rows removed."""
-        removed = self._execute(
-            "DELETE FROM entries WHERE schema != ?", (SCHEMA_VERSION,)
-        ).rowcount
-        if self.supports_cones:
-            removed += self._execute(
-                "DELETE FROM cone_entries WHERE schema != ?",
-                (CONE_SCHEMA_VERSION,),
-            ).rowcount
+        cutoff = None  # `last_used < NULL` never holds
         if max_age_days is not None:
             cutoff = time.time() - max_age_days * 86400.0
-            removed += self._execute(
-                "DELETE FROM entries WHERE last_used < ?", (cutoff,)
+        removed = sum(
+            self._execute(
+                f"DELETE FROM {table.name} WHERE schema != ? OR last_used < ?",
+                (table.schema, cutoff),
             ).rowcount
-            if self.supports_cones:
-                removed += self._execute(
-                    "DELETE FROM cone_entries WHERE last_used < ?", (cutoff,)
-                ).rowcount
+            for table in self._tables()
+        )
         self._execute("VACUUM")
         return removed
 
@@ -463,13 +438,14 @@ class ResultStore:
         """Drop every entry (all schema versions, both tables).  Returns
         the count.  Clearing a v1 store also upgrades it to the current
         layout (the cone table is created and the file stamped v2)."""
-        removed = self._execute("DELETE FROM entries").rowcount
-        if self.supports_cones:
-            removed += self._execute("DELETE FROM cone_entries").rowcount
-        else:
-            self._execute(_CONE_SCHEMA_SQL)
+        removed = sum(
+            self._execute(f"DELETE FROM {table.name}").rowcount
+            for table in self._tables()
+        )
+        if not self.supports_cones:
+            self._execute(_TABLES["cone_entries"].create_sql)
             self._execute(f"PRAGMA user_version={STORE_FORMAT_VERSION:d}")
-            self._cone_ok = True
+            self._present = tuple(_TABLES.values())
         self._execute("VACUUM")
         return removed
 

@@ -14,8 +14,7 @@ one circuit:
    of classifier-accepted paths the SAT oracle refuted.
 
 Rows are store-cached under the ``rdfp1:`` fingerprint (kind
-``"tightness"``) with the never-wrong contract: any malformed or
-inconsistent payload is a miss and recomputed.  The SAT queries fan
+``"tightness"`` of :data:`repro.store.kinds.KINDS`).  The SAT queries fan
 out over ``--jobs`` in path chunks; the deterministic table fields
 (path counts, RD percentages, replay counts) are chunking-independent,
 so :meth:`TightnessReport.table_bytes` is byte-identical at any job
@@ -36,6 +35,7 @@ from repro.errors import ClassifyError, VerdictError
 from repro.experiments.supervisor import RowFailure, TaskRunner
 from repro.obs import get_registry, span
 from repro.paths.path import LogicalPath, PhysicalPath
+from repro.store.kinds import TIGHTNESS_SCHEMA
 from repro.util.serialize import to_json
 from repro.util.tables import TextTable
 from repro.verdict.oracle import DEFAULT_MAX_CONFLICTS, VerdictOracle
@@ -43,8 +43,6 @@ from repro.verdict.oracle import DEFAULT_MAX_CONFLICTS, VerdictOracle
 if TYPE_CHECKING:
     from repro.sorting.input_sort import InputSort
 
-#: Store schema for cached tightness rows (bumped on layout changes).
-TIGHTNESS_SCHEMA = 1
 
 #: Default PI ceiling for the *suite sweep* only — it keeps the default
 #: ``repro-rd tightness`` run aligned with the circuits whose verdicts
@@ -266,33 +264,6 @@ def _verdict_chunk_task(payload):
     return (sat, replays, stats.conflicts, stats.decisions, stats.learned_reuse)
 
 
-# -- store plumbing -----------------------------------------------------
-def _tightness_variant(session: CircuitSession, criterion: Criterion,
-                       sort: "InputSort | None") -> str:
-    sort_key = "none" if sort is None else session.canonical.sort_key(sort.ranks)
-    return f"{criterion.name}|{sort_key}"
-
-
-def _load_tightness_payload(payload: dict, max_accepted: "int | None"):
-    """Strict never-wrong validation; anything off is a miss."""
-    if payload.get("schema") != TIGHTNESS_SCHEMA:
-        return None
-    fields = ("total_logical", "approx_accepted", "exact_accepted", "replays")
-    values = [payload.get(name) for name in fields]
-    if not all(isinstance(v, int) and v >= 0 for v in values):
-        return None
-    total, approx, exact, replays = values
-    if not exact <= approx <= total:
-        return None
-    if replays != exact:
-        return None
-    if max_accepted is not None and approx > max_accepted:
-        # The cached row would have aborted under this caller's budget;
-        # recompute so the budget semantics hold.
-        return None
-    return (total, approx, exact, replays)
-
-
 # -- entry points -------------------------------------------------------
 def tightness_row(
     circuit: Circuit,
@@ -323,34 +294,26 @@ def tightness_row(
     if runner is None:
         runner = TaskRunner(jobs=1)
     sort_obj, sort_label = resolve_sort(session, criterion, sort)
-    variant = _tightness_variant(session, criterion, sort_obj)
 
-    def make_row(total, approx, exact, replays, counters, source):
-        conflicts, decisions, reuse = counters
-        return TightnessRow(
-            circuit=circuit.name,
-            criterion=criterion.name,
-            sort_label=sort_label,
-            total_logical=total,
-            approx_accepted=approx,
-            exact_accepted=exact,
-            witness_replays=replays,
-            conflicts=conflicts,
-            decisions=decisions,
-            learned_reuse=reuse,
-            elapsed=time.perf_counter() - start,
-            source=source,
-        )
-
-    cached = session._store_get(  # noqa: SLF001 - session store plumbing
+    counts, source = session.cached(
         "tightness",
-        variant,
-        lambda payload: _load_tightness_payload(payload, max_accepted),
+        lambda: _decide_accepted(session, criterion, sort_obj, runner,
+                                 max_accepted, max_conflicts),
+        criterion=criterion,
+        sort=sort_obj,
+        max_accepted=max_accepted,
     )
-    if cached is not None:
+    if source == "store":
         get_registry().counter("verdict.row_store_hits").inc()
-        return make_row(*cached, (0, 0, 0), "store")
+    return TightnessRow(circuit.name, criterion.name, sort_label, *counts,
+                        elapsed=time.perf_counter() - start, source=source)
 
+
+def _decide_accepted(session, criterion, sort_obj, runner, max_accepted,
+                     max_conflicts) -> tuple:
+    """Classify with streaming, then SAT-decide every accepted path:
+    ``(total, approx, exact, replays, conflicts, decisions, reuse)``."""
+    circuit = session.circuit
     with span("verdict.tightness", circuit=circuit.name,
               criterion=criterion.name):
         accepted: "list[tuple[tuple[int, ...], int]]" = []
@@ -390,19 +353,7 @@ def tightness_row(
             decisions += dec
             reuse += ruse
 
-    session._store_put(  # noqa: SLF001 - session store plumbing
-        "tightness",
-        variant,
-        {
-            "schema": TIGHTNESS_SCHEMA,
-            "total_logical": total,
-            "approx_accepted": approx,
-            "exact_accepted": exact,
-            "replays": replays,
-        },
-    )
-    return make_row(total, approx, exact, replays,
-                    (conflicts, decisions, reuse), "computed")
+    return (total, approx, exact, replays, conflicts, decisions, reuse)
 
 
 def default_suite_circuits(max_inputs: int = DEFAULT_MAX_INPUTS) -> list[str]:

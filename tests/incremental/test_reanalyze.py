@@ -163,6 +163,17 @@ class TestStoreResilience:
         final = cone_classify(c, Criterion.FS, store=store)
         assert final.cones_reused == final.cones_total
 
+    def test_memory_store_keeps_cone_rows(self):
+        """Computed cones are written back through the caller's own
+        handle, so a private ``:memory:`` store keeps them."""
+        c = get_circuit("c17")
+        with ResultStore(":memory:") as memory:
+            first = cone_classify(c, Criterion.FS, store=memory)
+            second = cone_classify(c, Criterion.FS, store=memory)
+            assert [row.source for row in first.rows] == ["computed"] * 2
+            assert [row.source for row in second.rows] == ["store"] * 2
+            assert memory.stats().cone_entries == len(c.outputs)
+
     def test_legacy_v1_store_degrades_gracefully(self, tmp_path):
         path = tmp_path / "v1.sqlite"
         conn = sqlite3.connect(path)

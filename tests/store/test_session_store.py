@@ -12,6 +12,7 @@ from repro.classify.session import CircuitSession
 from repro.errors import ClassifyError
 from repro.experiments.harness import run_table1_rows
 from repro.gen.suite import get_circuit
+from repro.obs import get_registry
 from repro.store.db import ResultStore
 
 from tests.strategies import small_circuits
@@ -166,6 +167,51 @@ class TestContracts:
         # and the abort did not poison the store: full results survive
         again = CircuitSession(circuit, store=store).classify(Criterion.FS)
         assert again.accepted == full.accepted
+
+    def test_warm_heu2_sort_respects_max_accepted(self, store):
+        """The stored Heu2 sort carries no budget: a budgeted caller
+        must abort warm exactly as it does cold."""
+        circuit = get_circuit("s432-rand")
+        with pytest.raises(ClassifyError):
+            CircuitSession(circuit).heuristic2_sort(max_accepted=10)
+        CircuitSession(circuit, store=store).heuristic2_sort()  # warm up
+        with pytest.raises(ClassifyError):
+            CircuitSession(circuit, store=store).heuristic2_sort(
+                max_accepted=10
+            )
+
+    def test_invalid_row_deleted_and_counted_unservable_row_kept(self, store):
+        """A row failing its kind's validation is deleted and counted in
+        ``store.corrupt_entries``; a valid row that cannot serve this
+        request (over budget, no per-lead counts) stays."""
+        circuit = mux_circuit()
+        fp = CircuitSession(circuit).fingerprint
+        corrupt = get_registry().counter("store.corrupt_entries")
+        before = corrupt.value
+        store.put(
+            fp,
+            "classify",
+            "FS|none",
+            {"total_logical": "bogus", "accepted": 1, "elapsed": 0.0,
+             "edges_visited": 0},
+        )
+        with pytest.raises(ClassifyError):  # the abort writes nothing
+            CircuitSession(circuit, store=store).classify(
+                Criterion.FS, max_accepted=0
+            )
+        assert corrupt.value == before + 1
+        assert store.stats().entries == 1  # only the counts row is left
+
+        full = CircuitSession(circuit, store=store).classify(Criterion.FS)
+        with pytest.raises(ClassifyError):
+            CircuitSession(circuit, store=store).classify(
+                Criterion.FS, max_accepted=full.accepted - 1
+            )
+        need_leads = CircuitSession(circuit, store=store)
+        need_leads.classify(Criterion.FS, collect_lead_counts=True)
+        assert need_leads.stats.store_hits == 1  # the counts row
+        assert corrupt.value == before + 1
+        assert store.stats().by_kind == {"classify": 1, "counts": 1}
 
     def test_on_path_bypasses_store(self, store):
         circuit = mux_circuit()
